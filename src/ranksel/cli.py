@@ -87,8 +87,6 @@ def _selection_options(parser, include_folds=True):
     parser.add_argument("--no-screening", action="store_true")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--out", required=True)
-    parser.add_argument("--threads", type=int, default=0,
-                        help="0 = number of CPUs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -162,8 +160,7 @@ def cmd_select(args) -> int:
         cs = rsr_split(candidates, data, config, loss)
     else:
         cs = rsr_vfold(candidates, data, config, loss)
-    run_cfg = RunConfig(command="select", seed=args.seed, out_dir=args.out,
-                        threads=args.threads, data_path=args.data,
+    run_cfg = RunConfig(command="select", seed=args.seed, data_path=args.data,
                         response=args.response, learners=names,
                         params={"alpha": args.alpha, "alpha_screen": args.alpha_screen,
                                 "s": args.s, "B": args.B, "folds": args.folds,
@@ -188,8 +185,7 @@ def cmd_panel(args) -> int:
                              V=0, projection=args.projection,
                              screening_enabled=not args.no_screening)
     cs = rsr_from_panel(panel, config, method="rsr_panel")
-    run_cfg = RunConfig(command="panel", seed=args.seed, out_dir=args.out,
-                        threads=args.threads, losses_path=args.losses,
+    run_cfg = RunConfig(command="panel", seed=args.seed, losses_path=args.losses,
                         params={"alpha": args.alpha, "alpha_screen": args.alpha_screen,
                                 "s": args.s, "B": args.B,
                                 "projection": args.projection,

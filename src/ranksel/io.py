@@ -139,8 +139,6 @@ class RunConfig:
 
     command: str
     seed: int
-    out_dir: str
-    threads: int = 0
     data_path: str = ""
     response: str = ""
     learners: tuple[str, ...] = ()

@@ -11,16 +11,23 @@ ties are resolved by an independent fair coin per tied pair. Centered
 values mu = u - 1/2, per-observation projection scores, and standard
 errors feed the Gaussian multiplier bootstrap in :mod:`ranksel.bootstrap`.
 
-All pair statistics run in O(n log n) per pair through sorted copies and
-binary search; a brute-force O(n^2) evaluation with the same tie stream
-produces bit-identical results (the tests rely on this).
+Cost: a panel sorts each of its M columns once (``LossPanel.sorted_column``);
+each pair then costs one binary search with sorted needles (two if the
+pair has a tie), O(n) counting and scatters back to index order. Tie coins
+cost O(tied cells) and are only drawn, from a stream created on demand,
+for pairs that have a tied cell; they are drawn in chunks of whole rows,
+so the working memory of a tie-heavy pair is bounded by the chunk size,
+not by its tied-cell count. A brute-force O(n^2) evaluation with the same
+tie stream produces bit-identical results (the tests rely on this).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ContractError, DataError
 from .rng import TieStreams, keyed_stream
@@ -31,6 +38,11 @@ VARIANCE_FLOOR = 1e-6
 
 # Tolerance on projection-score column means, relative to n.
 PSI_CENTERING_TOL = 1e-12
+
+# Most tie coins drawn by one ``random`` call: whole tied rows are drawn
+# together up to this many coins (a single wider row is drawn on its own).
+# Bounds the per-chunk buffers on tie-heavy panels such as 0/1 losses.
+_COIN_CHUNK = 1 << 16
 
 
 def _as_loss_vector(values, name: str = "losses", min_n: int = 2) -> np.ndarray:
@@ -48,6 +60,11 @@ def _default_ties() -> np.random.Generator:
     # Fixed fallback stream so calls without an explicit stream stay
     # reproducible; callers that care pass their own keyed Generator.
     return keyed_stream(0)
+
+
+def _sorted_with_order(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    order = np.argsort(x, kind="stable")    # stable => equal values stay in index order
+    return x[order], order
 
 
 @dataclass(frozen=True)
@@ -85,24 +102,16 @@ class LossPanel:
     def column(self, j: int) -> np.ndarray:
         return self.losses[:, j]
 
+    @cached_property
+    def _column_sorts(self) -> tuple[np.ndarray, np.ndarray]:
+        cols = self.losses.T
+        order = np.argsort(cols, axis=1, kind="stable")
+        return np.take_along_axis(cols, order, axis=1), order
 
-@dataclass(frozen=True)
-class EmpiricalCdf:
-    """Right-closed empirical CDF: F(x) = #{v <= x} / n."""
-
-    sorted_values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.sort(np.asarray(self.sorted_values, dtype=float))
-        if arr.size < 1:
-            raise ContractError("empirical CDF needs at least one value")
-        if not np.all(np.isfinite(arr)):
-            raise DataError("empirical CDF values must be finite")
-        object.__setattr__(self, "sorted_values", arr)
-
-    def __call__(self, x) -> np.ndarray:
-        pos = np.searchsorted(self.sorted_values, x, side="right")
-        return pos / self.sorted_values.size
+    def sorted_column(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Column j's sorted values and stable argsort, computed once per panel."""
+        values, order = self._column_sorts
+        return values[j], order[j]
 
 
 @dataclass(frozen=True)
@@ -122,32 +131,81 @@ class PairStats:
     psi: np.ndarray             # (n, p)
 
 
-def _pair_win_counts(a: np.ndarray, b: np.ndarray, ties: np.random.Generator,
-                     want_cols: bool):
-    """Row and column win counts of 1{a_k < b_l} with randomized ties.
+def _rank_counts(a_sorted, a_order, b_sorted, b_order, ties=None):
+    """Win counts of 1{a_k < b_l} from both samples' sorted values and orders.
 
-    row[k] = #{l : a_k beats b_l}; col[l] = #{k : a_k beats b_l}. Tie coins
-    are consumed in lexicographic (k, l) order, one uniform per tied pair,
-    matching a brute-force double loop bit for bit.
+    Returns, each in original index order: row[k] = #{l : a_k beats b_l},
+    col[l] = #{k : a_k beats b_l}, hi[k] = #{l : b_l <= a_k} and
+    right[l] = #{k : a_k <= b_l}. An exact tie a_k == b_l is settled by a
+    fair coin from the Generator that ``ties()`` returns; ``ties`` is
+    called only when the pair has a tied cell. With ``ties=None`` a tie
+    counts for neither side (``hi`` and ``right`` never depend on coins).
     """
-    n = a.size
-    order = np.argsort(b, kind="stable")    # stable => equal b's stay in index order
-    b_sorted = b[order]
-    hi = np.searchsorted(b_sorted, a, side="right")
-    lo = np.searchsorted(b_sorted, a, side="left")
+    n = a_sorted.size
+    hi_s = np.searchsorted(b_sorted, a_sorted, side="right")
+    # a_i ties iff it equals the largest b at or below it; hi_s[i] = 0 wraps
+    # to the largest b, which then exceeds a_i.
+    has_ties = bool((b_sorted[hi_s - 1] == a_sorted).any())
+    lo_s = np.searchsorted(b_sorted, a_sorted, side="left") if has_ties else hi_s
+    # In sorted positions: a_i < b_l iff hi_s[i] <= l, a_i <= b_l iff lo_s[i] <= l.
+    col_s = np.cumsum(np.bincount(hi_s, minlength=n + 1)[:n]).astype(float)
+    right_s = np.cumsum(np.bincount(lo_s, minlength=n + 1)[:n])
+    hi = np.empty(n, dtype=np.intp)
+    hi[a_order] = hi_s
     row = (n - hi).astype(float)
-    col = None
-    if want_cols:
-        a_sorted = np.sort(a)
-        col = np.searchsorted(a_sorted, b, side="left").astype(float)
-    tied_rows = np.nonzero(hi > lo)[0]
-    for k in tied_rows:
-        tied_idx = order[lo[k]:hi[k]]       # ascending original l
-        wins = ties.random(tied_idx.size) < 0.5
-        row[k] += wins.sum()
-        if want_cols:
-            np.add.at(col, tied_idx[wins], 1.0)
-    return row, col
+    if ties is not None and has_ties:
+        lo = np.empty(n, dtype=np.intp)
+        lo[a_order] = lo_s
+        _add_tie_wins(row, col_s, lo, hi, ties())
+    col = np.empty(n)
+    col[b_order] = col_s
+    right = np.empty(n, dtype=np.intp)
+    right[b_order] = right_s
+    return row, col, hi, right
+
+
+def _add_tie_wins(row, col_sorted, lo, hi, gen: np.random.Generator) -> None:
+    """Settle every tied cell with one fair coin, in lexicographic (k, l) order.
+
+    Row k ties with the sorted-b positions lo[k]:hi[k], which the stable
+    order lists by ascending l, so drawing the tied rows' coins back to
+    back in ascending k reproduces the (k, l) stream of a double loop.
+    Coins come in chunks of whole rows of at most ``_COIN_CHUNK`` coins.
+    Row wins are added to ``row`` (index order), column wins to
+    ``col_sorted`` (sorted-b order).
+    """
+    width = hi - lo
+    rows = np.flatnonzero(width)
+    width = width[rows]
+    ends = np.cumsum(width)
+    start = 0
+    while start < rows.size:
+        base = ends[start] - width[start]
+        stop = max(start + 1, int(np.searchsorted(ends, base + _COIN_CHUNK, side="right")))
+        offsets = ends[start:stop] - width[start:stop] - base
+        wins = (gen.random(int(ends[stop - 1] - base)) < 0.5).view(np.uint8)
+        chunk = rows[start:stop]
+        row[chunk] += np.add.reduceat(wins, offsets, dtype=np.intp)
+        # Rows tied with the same value share one b-slice, so each value's
+        # coins form a (rows x slice) block, gathered as rows of a sliding
+        # window over the chunk, that sums down to the column wins.
+        first = lo[chunk]
+        by_value = np.argsort(first, kind="stable")
+        cuts = np.flatnonzero(np.diff(first[by_value])) + 1
+        for group in np.split(by_value, cuts):
+            pos, w = first[group[0]], width[start + group[0]]
+            windows = as_strided(wins, (wins.size - w + 1, w), (1, 1), writeable=False)
+            col_sorted[pos:pos + w] += windows[offsets[group]].sum(axis=0, dtype=np.intp)
+        start = stop
+
+
+def _se_from_counts(hi: np.ndarray, right: np.ndarray, n: int) -> float:
+    # x.sum() / n is the same IEEE operation as np.mean(x), at less overhead.
+    x = right / n           # F_a(b_i), right-closed
+    y = hi / n              # F_b(a_i)
+    cov = float((x * y).sum() / n - (x.sum() / n) * (y.sum() / n))
+    variance = max(VARIANCE_FLOOR, 1.0 / 6.0 - 2.0 * cov)
+    return float(np.sqrt(variance / n))
 
 
 def ranksum_u(a, b, ties: np.random.Generator | None = None) -> float:
@@ -162,26 +220,10 @@ def ranksum_u(a, b, ties: np.random.Generator | None = None) -> float:
     b = _as_loss_vector(b, "b")
     if a.size != b.size:
         raise ContractError(f"length mismatch: {a.size} vs {b.size}")
-    if ties is None:
-        ties = _default_ties()
-    row, _ = _pair_win_counts(a, b, ties, want_cols=False)
+    stream = _default_ties if ties is None else (lambda: ties)
+    row, _, _, _ = _rank_counts(*_sorted_with_order(a), *_sorted_with_order(b), stream)
     n = a.size
     return float(row.sum() / (n * n))
-
-
-def xi_element(a_k: float, b_l: float, ties: np.random.Generator | None = None) -> float:
-    """Single centered comparison 1{a_k < b_l} - 0.5, ties randomized."""
-    a_k = float(a_k)
-    b_l = float(b_l)
-    if not (np.isfinite(a_k) and np.isfinite(b_l)):
-        raise DataError("xi_element requires finite inputs")
-    if a_k < b_l:
-        return 0.5
-    if a_k > b_l:
-        return -0.5
-    if ties is None:
-        ties = _default_ties()
-    return 0.5 if ties.random() < 0.5 else -0.5
 
 
 def se_ranksum(a, b) -> float:
@@ -196,14 +238,8 @@ def se_ranksum(a, b) -> float:
     b = _as_loss_vector(b, "b", min_n=4)
     if a.size != b.size:
         raise ContractError(f"length mismatch: {a.size} vs {b.size}")
-    n = a.size
-    f_a = EmpiricalCdf(a)
-    f_b = EmpiricalCdf(b)
-    x = f_a(b)
-    y = f_b(a)
-    cov = float(np.mean(x * y) - np.mean(x) * np.mean(y))
-    variance = max(VARIANCE_FLOOR, 1.0 / 6.0 - 2.0 * cov)
-    return float(np.sqrt(variance / n))
+    _, _, hi, right = _rank_counts(*_sorted_with_order(a), *_sorted_with_order(b))
+    return _se_from_counts(hi, right, a.size)
 
 
 def pair_stats(panel: LossPanel, m: int, projection: str = "symmetrized",
@@ -221,8 +257,9 @@ def pair_stats(panel: LossPanel, m: int, projection: str = "symmetrized",
       dependent-sample variance formula behind :func:`se_ranksum`.
 
     Tie coins come from ``ties.pair(m, j)`` so each pair's stream is
-    independent of evaluation order. ``competitors`` restricts the columns
-    compared (default: all j != m).
+    independent of evaluation order; it is only requested for a pair with
+    a tied cell. ``competitors`` restricts the columns compared (default:
+    all j != m).
     """
     if projection not in ("row_only", "symmetrized"):
         raise ContractError(f"unknown projection mode: {projection!r}")
@@ -243,14 +280,14 @@ def pair_stats(panel: LossPanel, m: int, projection: str = "symmetrized",
     if p < 1:
         raise ContractError("need at least one competitor")
 
-    a = panel.column(m)
+    a_sorted, a_order = panel.sorted_column(m)
     symmetrized = projection == "symmetrized"
     u = np.empty(p)
     se = np.empty(p)
     psi = np.empty((n, p))
     for idx, j in enumerate(competitors):
-        b = panel.column(j)
-        row, col = _pair_win_counts(a, b, ties.pair(m, j), want_cols=symmetrized)
+        row, col, hi, right = _rank_counts(a_sorted, a_order, *panel.sorted_column(j),
+                                           partial(ties.pair, m, j))
         u_j = row.sum() / (n * n)
         mu_j = u_j - 0.5
         if symmetrized:
@@ -258,54 +295,6 @@ def pair_stats(panel: LossPanel, m: int, projection: str = "symmetrized",
         else:
             psi[:, idx] = row / n - 0.5 - mu_j
         u[idx] = u_j
-        se[idx] = se_ranksum(a, b)
+        se[idx] = _se_from_counts(hi, right, n)
     return PairStats(reference=m, competitors=np.array(competitors, dtype=int),
                      u=u, mu=u - 0.5, se=se, psi=psi)
-
-
-def conformal_pvalue_single(losses, holdout_loss: float,
-                            ties: np.random.Generator | None = None) -> float:
-    """One-point conformal rank: share of reference losses below a holdout loss."""
-    losses = _as_loss_vector(losses, "losses", min_n=1)
-    holdout_loss = float(holdout_loss)
-    if not np.isfinite(holdout_loss):
-        raise DataError("holdout loss must be finite")
-    below = int(np.sum(losses < holdout_loss))
-    tied = int(np.sum(losses == holdout_loss))
-    if tied:
-        if ties is None:
-            ties = _default_ties()
-        below += int(np.sum(ties.random(tied) < 0.5))
-    return below / losses.size
-
-
-def projection_estimates(kernel_values) -> tuple[np.ndarray, np.ndarray]:
-    """Centered row/column mean projections of a kernel evaluation matrix.
-
-    For K[k, l] = h(U_k, V_l): g1[k] = row mean - grand mean and
-    g2[l] = column mean - grand mean; both sum to zero by construction.
-    """
-    k_mat = np.asarray(kernel_values, dtype=float)
-    if k_mat.ndim != 2 or k_mat.shape[0] != k_mat.shape[1]:
-        raise ContractError("kernel_values must be a square matrix")
-    if not np.all(np.isfinite(k_mat)):
-        raise DataError("kernel_values contains non-finite entries")
-    grand = k_mat.mean()
-    g1 = k_mat.mean(axis=1) - grand
-    g2 = k_mat.mean(axis=0) - grand
-    return g1, g2
-
-
-def gamma_hat(g1, g2) -> np.ndarray:
-    """Second-moment matrix (1/n) sum_i (g1_i + g2_i)(g1_i + g2_i)^T."""
-    g1 = np.asarray(g1, dtype=float)
-    g2 = np.asarray(g2, dtype=float)
-    if g1.ndim == 1:
-        g1 = g1[:, None]
-    if g2.ndim == 1:
-        g2 = g2[:, None]
-    if g1.shape != g2.shape:
-        raise ContractError("g1 and g2 must have matching shapes")
-    s = g1 + g2
-    n = s.shape[0]
-    return s.T @ s / n

@@ -116,9 +116,11 @@ def screen(mu, se, n_models: int, alpha_screen: float, s: float) -> np.ndarray:
 
     A competitor j is dropped when the reference already beats it beyond
     the Bonferroni-style threshold: mu[j]/se[j] > 2 * Phi^{-1}(1 -
-    alpha_screen / (M-1)^{1+s}). Dropped competitors cannot change the
-    min statistic (they sit far on the winning side), so removing them
-    only shrinks the bootstrap dimension.
+    alpha_screen / (M-1)^{1+s}). Removing them shrinks the bootstrap
+    dimension, and the observed statistic t_obs becomes the minimum over
+    the kept competitors only. That can raise it: a large z-score may come
+    from a tiny standard error rather than a large mu, so a dropped
+    competitor can hold the smallest mu of all.
     """
     mu = np.asarray(mu, dtype=float)
     se = np.asarray(se, dtype=float)

@@ -1,8 +1,10 @@
 """Acceptance suite: one test per criterion, one PASS line per criterion.
 
-Run with `pytest tests/test_acceptance.py -v -s`. The simulation-backed
-criteria (5-10) take a few minutes each at the pinned replicate counts;
-the whole module runs in roughly ten minutes on two cores.
+Run with `pytest tests/test_acceptance.py -v -s`; every test here carries
+the `acceptance` marker, so `pytest -m "not acceptance"` skips them. The
+simulation-backed criteria (5-10) take a few minutes each at the pinned
+replicate counts; the whole module runs in roughly ten minutes on two
+cores.
 """
 
 import json
@@ -16,6 +18,8 @@ from ranksel import (BootstrapConfig, Candidate, Case1Config, Case2Config,
                      Dataset, LossFn, LossPanel, SelectionConfig, TieStreams,
                      fit_ols, keyed_stream, multiplier_min_bootstrap, pair_stats,
                      ranksum_u, rsr_split, run_case1, run_case2, se_ranksum)
+
+pytestmark = pytest.mark.acceptance
 
 ACCEPT_SEED = 20260810
 CASE1_REPS = 100

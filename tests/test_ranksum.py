@@ -1,11 +1,14 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from ranksel import (ContractError, DataError, EmpiricalCdf, LossPanel, TieStreams,
-                     conformal_pvalue_single, gamma_hat, keyed_stream, pair_stats,
-                     projection_estimates, ranksum_u, se_ranksum, xi_element)
+from ranksel import (ContractError, DataError, LossPanel, TieStreams, keyed_stream,
+                     pair_stats, ranksum, ranksum_u, se_ranksum)
 
 
 def brute_ranksum(a, b, rng=None):
@@ -106,25 +109,6 @@ class TestRanksumU:
             ranksum_u([1.0, 2.0], [np.inf, 2.0])
 
 
-class TestXiElement:
-    def test_below(self):
-        assert xi_element(1.0, 2.0) == 0.5
-
-    def test_above(self):
-        assert xi_element(2.0, 1.0) == -0.5
-
-    def test_tie_is_fair_coin(self):
-        rng = keyed_stream(123)
-        draws = [xi_element(5.0, 5.0, ties=rng) for _ in range(4000)]
-        assert set(draws) == {0.5, -0.5}
-        frac = np.mean([d > 0 for d in draws])
-        assert abs(frac - 0.5) < 0.03
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(DataError):
-            xi_element(np.nan, 1.0)
-
-
 class TestSeRanksum:
     def test_independent_samples_sixth(self):
         rng = np.random.default_rng(2)
@@ -160,19 +144,6 @@ class TestSeRanksum:
         a = rng.standard_normal(60)
         b = rng.standard_normal(60)
         assert se_ranksum(a, b) == se_ranksum(np.exp(a), np.exp(b))
-
-
-class TestEmpiricalCdf:
-    def test_right_closed(self):
-        f = EmpiricalCdf(np.array([1.0, 2.0, 3.0]))
-        assert f(0.5) == 0.0
-        assert f(1.0) == pytest.approx(1 / 3)
-        assert f(2.5) == pytest.approx(2 / 3)
-        assert f(99.0) == 1.0
-
-    def test_vectorized(self):
-        f = EmpiricalCdf(np.array([2.0, 1.0]))  # sorted internally
-        np.testing.assert_allclose(f(np.array([0.0, 1.0, 2.0])), [0.0, 0.5, 1.0])
 
 
 def _toy_panel(rng, n=20, m=3, integer=False):
@@ -253,73 +224,6 @@ class TestPairStats:
             pair_stats(panel, 0)
 
 
-class TestConformal:
-    def test_all_below(self):
-        assert conformal_pvalue_single([1, 2, 3], 10.0) == 1.0
-
-    def test_all_above(self):
-        assert conformal_pvalue_single([1, 2, 3], 0.0) == 0.0
-
-    def test_half(self):
-        assert conformal_pvalue_single([1, 2, 3, 4], 2.5) == 0.5
-
-
-class TestProjectionEstimates:
-    def test_constant_kernel_zero(self):
-        g1, g2 = projection_estimates(np.full((4, 4), 3.7))
-        np.testing.assert_allclose(g1, 0.0, atol=1e-14)
-        np.testing.assert_allclose(g2, 0.0, atol=1e-14)
-
-    def test_additive_kernel_hand_values(self):
-        u = np.array([1.0, 2.0])
-        v = np.array([10.0, 20.0])
-        k = u[:, None] + v[None, :]
-        g1, g2 = projection_estimates(k)
-        np.testing.assert_allclose(g1, [-0.5, 0.5])
-        np.testing.assert_allclose(g2, [-5.0, 5.0])
-
-    def test_centering(self):
-        rng = np.random.default_rng(43)
-        g1, g2 = projection_estimates(rng.standard_normal((5, 5)))
-        assert abs(g1.sum()) < 1e-12
-        assert abs(g2.sum()) < 1e-12
-
-    def test_nonsquare_rejected(self):
-        with pytest.raises(ContractError):
-            projection_estimates(np.ones((3, 4)))
-
-
-class TestGammaHat:
-    def test_scaled_orthonormal_gives_identity(self):
-        rng = np.random.default_rng(45)
-        n, p = 20, 3
-        q, _ = np.linalg.qr(rng.standard_normal((n, p)))
-        g1 = q * math.sqrt(n)
-        gam = gamma_hat(g1, np.zeros_like(g1))
-        np.testing.assert_allclose(gam, np.eye(p), atol=1e-12)
-
-    def test_p1_population_variance(self):
-        rng = np.random.default_rng(47)
-        g1 = rng.standard_normal(15)
-        g2 = rng.standard_normal(15)
-        gam = gamma_hat(g1, g2)
-        s = g1 + g2
-        assert gam.shape == (1, 1)
-        assert gam[0, 0] == pytest.approx(np.mean(s * s))
-
-    def test_matches_second_moment_matrix(self):
-        rng = np.random.default_rng(49)
-        g1 = rng.standard_normal((20, 3))
-        g2 = rng.standard_normal((20, 3))
-        s = g1 + g2
-        expect = sum(np.outer(s[i], s[i]) for i in range(20)) / 20
-        np.testing.assert_allclose(gamma_hat(g1, g2), expect, atol=1e-12)
-        # symmetric PSD
-        gam = gamma_hat(g1, g2)
-        np.testing.assert_allclose(gam, gam.T)
-        assert np.all(np.linalg.eigvalsh(gam) > -1e-12)
-
-
 class TestLossPanel:
     def test_validation(self):
         with pytest.raises(DataError):
@@ -329,3 +233,171 @@ class TestLossPanel:
             LossPanel(losses=np.ones((5, 2)), model_ids=("a", "a"))
         with pytest.raises(ContractError):
             LossPanel(losses=np.ones((1, 2)), model_ids=("a", "b"))
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle: the per-pair path the panel engine replaced, frozen
+# as it was. It re-sorts b for every pair, draws one ``random`` call per
+# tied row and rebuilds both empirical CDFs for the standard error.
+
+def _oracle_win_counts(a, b, ties, want_cols):
+    n = a.size
+    order = np.argsort(b, kind="stable")
+    b_sorted = b[order]
+    hi = np.searchsorted(b_sorted, a, side="right")
+    lo = np.searchsorted(b_sorted, a, side="left")
+    row = (n - hi).astype(float)
+    col = None
+    if want_cols:
+        a_sorted = np.sort(a)
+        col = np.searchsorted(a_sorted, b, side="left").astype(float)
+    for k in np.nonzero(hi > lo)[0]:
+        tied_idx = order[lo[k]:hi[k]]
+        wins = ties.random(tied_idx.size) < 0.5
+        row[k] += wins.sum()
+        if want_cols:
+            np.add.at(col, tied_idx[wins], 1.0)
+    return row, col
+
+
+def _oracle_se(a, b):
+    n = a.size
+    x = np.searchsorted(np.sort(a), b, side="right") / n
+    y = np.searchsorted(np.sort(b), a, side="right") / n
+    cov = float(np.mean(x * y) - np.mean(x) * np.mean(y))
+    return float(np.sqrt(max(1e-6, 1.0 / 6.0 - 2.0 * cov) / n))
+
+
+def _oracle_pair_stats(panel, m, projection, ties):
+    n = panel.n
+    a = panel.column(m)
+    competitors = [j for j in range(panel.n_models) if j != m]
+    symmetrized = projection == "symmetrized"
+    u = np.empty(len(competitors))
+    se = np.empty(len(competitors))
+    psi = np.empty((n, len(competitors)))
+    for idx, j in enumerate(competitors):
+        b = panel.column(j)
+        row, col = _oracle_win_counts(a, b, ties.pair(m, j), symmetrized)
+        u_j = row.sum() / (n * n)
+        mu_j = u_j - 0.5
+        if symmetrized:
+            psi[:, idx] = (row + col) / n - 1.0 - 2.0 * mu_j
+        else:
+            psi[:, idx] = row / n - 0.5 - mu_j
+        u[idx] = u_j
+        se[idx] = _oracle_se(a, b)
+    return u, se, psi
+
+
+@st.composite
+def loss_panels(draw):
+    """Tie-free, 0/1 or small-integer panels, maybe with a constant and a
+    duplicated column."""
+    n = draw(st.integers(4, 64))
+    m = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(("tie_free", "binary", "small_int")))
+    if kind == "tie_free":
+        elements = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
+    else:
+        elements = st.integers(0, 1 if kind == "binary" else 4).map(float)
+    losses = draw(arrays(np.float64, (n, m), elements=elements,
+                         unique=kind == "tie_free"))
+    if draw(st.booleans()):
+        losses[:, draw(st.integers(0, m - 1))] = draw(st.sampled_from((0.0, 1.0, 2.0)))
+    if draw(st.booleans()):
+        src, dst = draw(st.permutations(range(m)))[:2]
+        losses[:, dst] = losses[:, src]
+    return LossPanel(losses=losses, model_ids=tuple(f"c{j}" for j in range(m)))
+
+
+# None keeps the module's chunk; 1 and 7 make the coin draws cross chunk
+# boundaries on every tie-heavy pair.
+COIN_CHUNKS = [None, 1, 7]
+
+
+def _coin_chunk(chunk):
+    return mock.patch.object(ranksum, "_COIN_CHUNK", chunk or ranksum._COIN_CHUNK)
+
+
+class TestPanelEngineMatchesOracle:
+    @pytest.mark.parametrize("chunk", COIN_CHUNKS)
+    @settings(max_examples=40, deadline=None)
+    @given(panel=loss_panels(), seed=st.integers(0, 2**32 - 1))
+    def test_pair_stats_bit_identical(self, chunk, panel, seed):
+        with _coin_chunk(chunk):
+            for projection in ("row_only", "symmetrized"):
+                for m in range(panel.n_models):
+                    stats = pair_stats(panel, m, projection=projection,
+                                       ties=TieStreams(seed, 9))
+                    u, se, psi = _oracle_pair_stats(panel, m, projection,
+                                                    TieStreams(seed, 9))
+                    assert np.array_equal(stats.u, u)
+                    assert np.array_equal(stats.se, se)
+                    assert np.array_equal(stats.psi, psi)
+
+    @pytest.mark.parametrize("chunk", COIN_CHUNKS)
+    @settings(max_examples=40, deadline=None)
+    @given(panel=loss_panels(), seed=st.integers(0, 2**32 - 1))
+    def test_ranksum_u_and_se_match_brute_force(self, chunk, panel, seed):
+        a, b = panel.column(0), panel.column(1)
+        with _coin_chunk(chunk):
+            fast = ranksum_u(a, b, ties=keyed_stream(seed))
+        assert fast == brute_ranksum(a, b, rng=keyed_stream(seed))
+        assert se_ranksum(a, b) == _oracle_se(a, b)
+
+
+class _CountingGenerator:
+    def __init__(self, gen, owner):
+        self._gen = gen
+        self._owner = owner
+
+    def random(self, size):
+        self._owner.coins += size
+        return self._gen.random(size)
+
+
+class _CountingTieStreams(TieStreams):
+    """Records every pair whose stream is requested and every coin drawn."""
+
+    def __init__(self, seed, tag=0):
+        super().__init__(seed, tag)
+        self.pairs = []
+        self.coins = 0
+
+    def pair(self, m, j):
+        self.pairs.append((m, j))
+        return _CountingGenerator(super().pair(m, j), self)
+
+
+class TestTieStreamLaziness:
+    def test_tie_free_panel_never_requests_a_stream(self):
+        rng = np.random.default_rng(51)
+        losses = rng.permutation(200 * 4).astype(float).reshape(200, 4)
+        panel = LossPanel(losses=losses, model_ids=("a", "b", "c", "d"))
+        ties = _CountingTieStreams(3)
+        for m in range(panel.n_models):
+            pair_stats(panel, m, ties=ties)
+        assert ties.pairs == []
+        assert ties.coins == 0
+
+    @pytest.mark.parametrize("chunk", COIN_CHUNKS)
+    def test_one_stream_per_tied_pair_and_one_coin_per_tied_cell(self, chunk):
+        rng = np.random.default_rng(53)
+        n = 40
+        losses = np.column_stack([rng.integers(0, 4, size=(n, 3)).astype(float),
+                                  10.0 + rng.random(n)])   # ties with no column
+        panel = LossPanel(losses=losses, model_ids=("a", "b", "c", "d"))
+        ties = _CountingTieStreams(5)
+        expected_pairs, expected_coins = [], 0
+        with _coin_chunk(chunk):
+            for m in range(panel.n_models):
+                pair_stats(panel, m, ties=ties)
+                for j in range(panel.n_models):
+                    tied = int((losses[:, m][:, None] == losses[:, j][None, :]).sum())
+                    if j != m and tied:
+                        expected_pairs.append((m, j))
+                        expected_coins += tied
+        assert ties.pairs == expected_pairs
+        assert len(expected_pairs) == 6
+        assert ties.coins == expected_coins

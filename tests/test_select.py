@@ -7,8 +7,10 @@ from scipy.stats import norm
 from ranksel import (Candidate, ContractError, Dataset, LossFn, LossPanel,
                      SelectionConfig, cv_select, cvc_style_select, fit_ols,
                      make_folds, make_split, panel_from_folds, panel_from_split,
-                     pcv_select, rsr_from_panel, rsr_split, rsr_vfold, screen)
+                     TieStreams, pair_stats, pcv_select, rsr_from_panel, rsr_split,
+                     rsr_vfold, screen)
 from ranksel.errors import LearnerError
+from ranksel.select import TAG_RSR_TIES
 
 
 def _panel(losses, ids=None):
@@ -198,6 +200,30 @@ class TestRsrFromPanel:
                             SelectionConfig(seed=17, screening_enabled=True))
         assert cs.bootstrap_columns < 3 * 2
         assert 2 in cs.screened_out[0] and 2 in cs.screened_out[1]
+
+    def test_screening_can_raise_t_obs(self):
+        # A copy of the reference worsened on 60 rows has a tiny mu but a
+        # far tinier se, so it is screened out while an independent, worse
+        # but noisier competitor is kept: t_obs is the min over kept
+        # competitors only, above the min over all of them.
+        n = 1000
+        rng = np.random.default_rng(5)
+        a = np.abs(rng.standard_cauchy(n))
+        worse_copy = a.copy()
+        worse_copy[rng.choice(n, 60, replace=False)] *= 1.5
+        other = 1.12 * np.abs(rng.standard_cauchy(n))
+        panel = _panel(np.column_stack([a, worse_copy, other]))
+        cfg = SelectionConfig(seed=5)
+        cs = rsr_from_panel(panel, cfg)
+        stats = pair_stats(panel, 0, projection=cfg.projection,
+                           ties=TieStreams(cfg.seed, TAG_RSR_TIES))
+        z = stats.mu / stats.se
+        assert z[0] > 6.5 and z[1] < 2.0
+        assert cs.screened_out[0] == (1,)
+        t_obs = cs.diagnostics[0]["t_obs"]
+        assert t_obs == math.sqrt(n) * stats.mu[1]
+        assert round(t_obs, 3) == 0.766
+        assert round(math.sqrt(n) * stats.mu.min(), 3) == 0.150
 
 
 class TestSplitsAndFolds:
