@@ -8,7 +8,8 @@ from .models import (Dataset, FittedLinear, LambdaPath, LossFn, adaptive_tau,
                      enumerate_subsets, fit_huber, fit_huber_adaptive,
                      fit_huber_lasso, fit_ols, huber_location, lambda_fold_correction,
                      lambda_path, loss_eval, mad_scale)
-from .ranksum import LossPanel, PairStats, pair_stats, ranksum_u, se_ranksum
+from .ranksum import (LossPanel, PairStats, gamma_hat, pair_stats, projection_estimates,
+                      ranksum_u, se_ranksum)
 from .rng import TieStreams, keyed_stream, multiplier_matrix, subseed
 from .select import (Candidate, ConfidenceSet, SelectionConfig, cv_select,
                      cvc_style_select, make_folds, make_split, panel_from_folds,
