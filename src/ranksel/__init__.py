@@ -8,13 +8,11 @@ from .models import (Dataset, FittedLinear, LambdaPath, LossFn, adaptive_tau,
                      enumerate_subsets, fit_huber, fit_huber_adaptive,
                      fit_huber_lasso, fit_ols, huber_location, lambda_fold_correction,
                      lambda_path, loss_eval, mad_scale)
-from .ranksum import (LossPanel, PairStats, gamma_hat, pair_stats, projection_estimates,
-                      ranksum_u, se_ranksum)
+from .ranksum import LossPanel, PairStats, pair_stats, ranksum_u, se_ranksum
 from .rng import TieStreams, keyed_stream, multiplier_matrix, subseed
 from .select import (Candidate, ConfidenceSet, SelectionConfig, cv_select,
                      cvc_style_select, make_folds, make_split, panel_from_folds,
-                     panel_from_split, pcv_select, rsr_from_panel, rsr_split,
-                     rsr_vfold, screen)
+                     pcv_select, rsr_from_panel, rsr_split, rsr_vfold, screen)
 from .simlab import (AggregateReport, Case1Config, Case2Config, ar1_design,
                      run_case1, run_case2, sample_ar1_gaussian, sample_student_t,
                      subset_candidates)

@@ -29,11 +29,10 @@ RECOMMENDED_MIN_DRAWS = 500
 
 @dataclass(frozen=True)
 class BootstrapConfig:
-    """Multiplier bootstrap settings: draw count, seed, projection mode."""
+    """Multiplier bootstrap settings: draw count and seed."""
 
     B: int = 500
     seed: int = 0
-    projection: str = "symmetrized"
 
     def __post_init__(self):
         if int(self.B) < 100:
@@ -44,8 +43,6 @@ class BootstrapConfig:
                 f"{RECOMMENDED_MIN_DRAWS}; p-values will be coarse",
                 stacklevel=2,
             )
-        if self.projection not in ("row_only", "symmetrized"):
-            raise ContractError(f"unknown projection mode: {self.projection!r}")
         object.__setattr__(self, "B", int(self.B))
         object.__setattr__(self, "seed", int(self.seed))
 

@@ -26,7 +26,7 @@ from .io import (ReportBundle, RunConfig, parse_config_file, read_loss_panel_csv
                  read_xy_csv, write_plot_data, write_pvalues_csv,
                  write_replicates_csv)
 from .models import (Dataset, LossFn, adaptive_tau, fit_huber_adaptive,
-                     fit_huber_lasso, fit_ols, lambda_path, mad_scale)
+                     fit_huber_lasso, fit_ols, lambda_path, robust_scale)
 from .select import Candidate, SelectionConfig, rsr_from_panel, rsr_split, rsr_vfold
 from .simlab import Case1Config, Case2Config, run_case1, run_case2
 
@@ -35,25 +35,16 @@ from .simlab import Case1Config, Case2Config, run_case1, run_case2
 CASE2_SUPPORTED_DIMS = ((200, 200), (400, 2000))
 
 
-def _learner_ols(data: Dataset):
-    return fit_ols(data)
-
-
-def _learner_huber(data: Dataset):
-    return fit_huber_adaptive(data)
-
-
 def _learner_huber_lasso(data: Dataset):
-    scale = mad_scale(data.y) or float(np.std(data.y)) or 1e-12
-    tau = adaptive_tau(data.n, data.d, scale)
+    tau = adaptive_tau(data.n, data.d, robust_scale(data.y))
     path = lambda_path(data, k_path=10, tau=tau)
     lam = float(path.values[len(path) // 2])
     return fit_huber_lasso(data, lam=lam, tau=tau)
 
 
 LEARNERS = {
-    "ols": _learner_ols,
-    "huber": _learner_huber,
+    "ols": fit_ols,
+    "huber": fit_huber_adaptive,
     "huber_lasso": _learner_huber_lasso,
 }
 
@@ -127,11 +118,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _selection_config(args) -> SelectionConfig:
-    return SelectionConfig(seed=args.seed, alpha=args.alpha,
-                           alpha_screen=args.alpha_screen, s=args.s, B=args.B,
-                           V=getattr(args, "folds", 0),
-                           projection=args.projection,
-                           screening_enabled=not args.no_screening)
+    """Selection settings from the flags; a rejected value is a usage error."""
+    try:
+        return SelectionConfig(seed=args.seed, alpha=args.alpha,
+                               alpha_screen=args.alpha_screen, s=args.s, B=args.B,
+                               V=getattr(args, "folds", 0),
+                               projection=args.projection,
+                               screening_enabled=not args.no_screening)
+    except ContractError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _write_selection_outputs(bundle: ReportBundle, confidence_set, out_dir):
@@ -143,6 +138,7 @@ def _write_selection_outputs(bundle: ReportBundle, confidence_set, out_dir):
 
 def cmd_select(args) -> int:
     start = time.perf_counter()
+    config = _selection_config(args)
     names = tuple(n.strip() for n in args.learners.split(",") if n.strip())
     candidates = _candidates_from_names(names)
     x, y, _features = read_xy_csv(args.data, args.response)
@@ -150,12 +146,10 @@ def cmd_select(args) -> int:
     if args.loss == "huber":
         tau = args.tau
         if tau is None:
-            scale = mad_scale(y) or float(np.std(y)) or 1e-12
-            tau = adaptive_tau(data.n, data.d, scale)
+            tau = adaptive_tau(data.n, data.d, robust_scale(y))
         loss = LossFn("huber", tau=tau)
     else:
         loss = LossFn(args.loss)
-    config = _selection_config(args)
     if config.V == 0:
         cs = rsr_split(candidates, data, config, loss)
     else:
@@ -179,11 +173,8 @@ def cmd_select(args) -> int:
 
 def cmd_panel(args) -> int:
     start = time.perf_counter()
+    config = _selection_config(args)
     panel = read_loss_panel_csv(args.losses)
-    config = SelectionConfig(seed=args.seed, alpha=args.alpha,
-                             alpha_screen=args.alpha_screen, s=args.s, B=args.B,
-                             V=0, projection=args.projection,
-                             screening_enabled=not args.no_screening)
     cs = rsr_from_panel(panel, config, method="rsr_panel")
     run_cfg = RunConfig(command="panel", seed=args.seed, losses_path=args.losses,
                         params={"alpha": args.alpha, "alpha_screen": args.alpha_screen,

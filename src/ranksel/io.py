@@ -151,12 +151,6 @@ class RunConfig:
         d["learners"] = list(self.learners)
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        d = dict(d)
-        d["learners"] = tuple(d.get("learners", ()))
-        return cls(**d)
-
 
 @dataclass
 class ReportBundle:

@@ -118,6 +118,14 @@ def mad_scale(values) -> float:
     return float(np.median(np.abs(v - np.median(v))) * MAD_SCALE)
 
 
+def robust_scale(values) -> float:
+    """mad_scale, or the standard deviation (at least 1e-12) when the MAD is 0."""
+    scale = mad_scale(values)
+    if scale <= 0:
+        scale = max(float(np.std(values)), 1e-12)
+    return scale
+
+
 def adaptive_tau(n: int, d: int, scale: float, c: float = HUBER_C) -> float:
     """Sample-size-aware Huber knee: c * scale * sqrt(n / (d + log n))."""
     return c * scale * math.sqrt(n / (d + math.log(n)))
@@ -174,10 +182,7 @@ def _irls_huber(data: Dataset, tau0: float, adapt: bool,
     for _ in range(max_iter):
         r = data.y - design @ theta
         if adapt:
-            scale = mad_scale(r)
-            if scale <= 0:
-                scale = max(np.std(r), 1e-12)
-            tau = adaptive_tau(n, d, scale)
+            tau = adaptive_tau(n, d, robust_scale(r))
         w = _huber_weights(r, tau)
         sw = np.sqrt(w)
         new, _, rank, _ = np.linalg.lstsq(design * sw[:, None], data.y * sw,
@@ -362,10 +367,7 @@ def lambda_path(data: Dataset, k_path: int = 50, tau: float | None = None,
     if k_path < 1:
         raise ContractError("k_path must be >= 1")
     if tau is None:
-        scale = mad_scale(data.y)
-        if scale <= 0:
-            scale = max(float(np.std(data.y)), 1e-12)
-        tau = adaptive_tau(data.n, data.d, scale)
+        tau = adaptive_tau(data.n, data.d, robust_scale(data.y))
     b0 = huber_location(data.y, tau)
     score = huber_score(data.y - b0, tau)
     lam_max = float(np.max(np.abs(data.x.T @ score)) / data.n)

@@ -299,34 +299,3 @@ def pair_stats(panel: LossPanel, m: int, projection: str = "symmetrized",
     return PairStats(reference=m, competitors=np.array(competitors, dtype=int),
                      u=u, mu=u - 0.5, se=se, psi=psi)
 
-
-def projection_estimates(kernel_values) -> tuple[np.ndarray, np.ndarray]:
-    """Centered row/column mean projections of a kernel evaluation matrix.
-
-    For K[k, l] = h(U_k, V_l): g1[k] = row mean - grand mean and
-    g2[l] = column mean - grand mean; both sum to zero by construction.
-    """
-    k_mat = np.asarray(kernel_values, dtype=float)
-    if k_mat.ndim != 2 or k_mat.shape[0] != k_mat.shape[1]:
-        raise ContractError("kernel_values must be a square matrix")
-    if not np.all(np.isfinite(k_mat)):
-        raise DataError("kernel_values contains non-finite entries")
-    grand = k_mat.mean()
-    g1 = k_mat.mean(axis=1) - grand
-    g2 = k_mat.mean(axis=0) - grand
-    return g1, g2
-
-
-def gamma_hat(g1, g2) -> np.ndarray:
-    """Second-moment matrix (1/n) sum_i (g1_i + g2_i)(g1_i + g2_i)^T."""
-    g1 = np.asarray(g1, dtype=float)
-    g2 = np.asarray(g2, dtype=float)
-    if g1.ndim == 1:
-        g1 = g1[:, None]
-    if g2.ndim == 1:
-        g2 = g2[:, None]
-    if g1.shape != g2.shape:
-        raise ContractError("g1 and g2 must have matching shapes")
-    s = g1 + g2
-    n = s.shape[0]
-    return s.T @ s / n

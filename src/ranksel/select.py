@@ -1,28 +1,31 @@
 """Confidence-set model selection from loss panels.
 
-Four selection routes share one panel of per-observation losses:
+The three confidence-set methods differ only in their evidence. For each
+reference model m, an evidence function returns centered contrasts ``mu``
+against the competitors (positive favors m) with their per-observation
+scores ``psi``, or decides m's p-value outright. One loop,
+``_select_loop``, bootstraps the minimum of ``mu`` with shared Gaussian
+multipliers and keeps m when its p-value reaches alpha:
 
-* ``rsr_from_panel`` tests, for every reference model m, whether some
-  competitor beats it in the generalized rank-sum sense; models whose
-  bootstrap p-value reaches alpha stay in the confidence set. Optional
-  screening drops competitors that m already beats overwhelmingly before
-  the bootstrap runs.
-* ``pcv_select`` does the same with paired per-observation win indicators.
-* ``cvc_style_select`` is the mean-based contrast: studentized loss
-  differences with the same multiplier machinery (intentionally
-  non-robust).
-* ``cv_select`` is plain argmin of average loss (singleton set).
+* ``rsr_from_panel``: generalized rank-sum pairs; optional screening drops
+  competitors that m already beats overwhelmingly (all dropped: p = 1).
+* ``pcv_select``: paired per-observation win indicators.
+* ``cvc_style_select``: studentized mean loss differences (intentionally
+  non-robust); a competitor's constant win rejects m outright.
 
-``rsr_split`` / ``rsr_vfold`` wrap training: they split the data, fit every
-candidate, assemble the out-of-sample loss panel, and defer to
-``rsr_from_panel``. A candidate whose learner fails is flagged and assigned
-p-value 0 instead of aborting the run.
+``cv_select`` is plain argmin of average loss (singleton set).
+``rsr_split`` / ``rsr_vfold`` wrap training: they split the data (a sample
+split is one evaluation fold), fit every candidate, assemble the
+out-of-sample loss panel, and defer to ``rsr_from_panel``. A candidate
+whose learner fails is flagged and assigned p-value 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,6 +68,8 @@ class SelectionConfig:
             raise ContractError(f"alpha_screen must be in (0, 1), got {self.alpha_screen}")
         if self.s <= 0:
             raise ContractError("screening exponent s must be positive")
+        if int(self.B) < 100:
+            raise ContractError(f"B must be >= 100, got {self.B}")
         if self.V != 0 and self.V < 2:
             raise ContractError("V must be 0 (sample splitting) or >= 2")
         if self.projection not in ("row_only", "symmetrized"):
@@ -142,66 +147,97 @@ def _assemble(method, panel_ids, alpha, p_vals, screened_out, failed, diagnostic
                          diagnostics=diagnostics)
 
 
-def rsr_from_panel(panel: LossPanel, config: SelectionConfig,
-                   method: str = "rsr_vfold") -> ConfidenceSet:
-    """Rank-sum confidence set computed directly from a loss panel."""
-    n_models = panel.n_models
-    ties = TieStreams(config.seed, TAG_RSR_TIES)
-    p_vals = np.zeros(n_models)
+class _Evidence(NamedTuple):
+    """Reference m's centered bootstrap columns (mu, psi), or its p-value
+    ``decided`` as (p, t_obs); ``dropped`` lists the competitors screening
+    removed (None for methods that do not screen)."""
+
+    mu: np.ndarray | None = None
+    psi: np.ndarray | None = None
+    decided: tuple[float, float] | None = None
+    dropped: tuple[int, ...] | None = None
+
+
+def _select_loop(panel: LossPanel, config: SelectionConfig, method: str,
+                 boot_tag: int, evidence) -> ConfidenceSet:
+    """Bootstrap each reference model's evidence; keep m when p >= alpha."""
+    p_vals = np.zeros(panel.n_models)
     screened_out: dict[int, tuple[int, ...]] = {}
     diagnostics: dict[int, dict] = {}
-    for m in range(n_models):
-        stats = pair_stats(panel, m, projection=config.projection, ties=ties)
-        if config.screening_enabled:
-            keep = screen(stats.mu, stats.se, n_models, config.alpha_screen, config.s)
-        else:
-            keep = np.arange(stats.mu.size)
-        dropped = np.setdiff1d(np.arange(stats.mu.size), keep)
-        screened_out[m] = tuple(int(stats.competitors[j]) for j in dropped)
-        if keep.size == 0:
-            # Reference beats every competitor beyond the screening bar;
-            # nothing contradicts its optimality.
-            p_vals[m] = 1.0
-            diagnostics[m] = {"t_obs": math.inf, "n_cols": 0}
+    for m in range(panel.n_models):
+        ev = evidence(m)
+        if ev.dropped is not None:
+            screened_out[m] = ev.dropped
+        if ev.decided is not None:
+            p_vals[m], t_obs = ev.decided
+            diagnostics[m] = {"t_obs": t_obs, "n_cols": 0}
             continue
-        boot = BootstrapConfig(B=config.B,
-                               seed=subseed(config.seed, TAG_RSR_BOOT, m),
-                               projection=config.projection)
-        result = run_min_bootstrap(stats.mu[keep], stats.psi[:, keep], boot)
+        boot = BootstrapConfig(B=config.B, seed=subseed(config.seed, boot_tag, m))
+        result = run_min_bootstrap(ev.mu, ev.psi, boot)
         p_vals[m] = result.p_value
-        diagnostics[m] = {"t_obs": result.t_obs, "n_cols": int(keep.size)}
+        diagnostics[m] = {"t_obs": result.t_obs, "n_cols": ev.mu.size}
     return _assemble(method, panel.model_ids, config.alpha, p_vals,
                      screened_out, [], diagnostics)
 
 
+def _rsr_evidence(panel: LossPanel, config: SelectionConfig, ties: TieStreams,
+                  m: int) -> _Evidence:
+    stats = pair_stats(panel, m, projection=config.projection, ties=ties)
+    if config.screening_enabled:
+        keep = screen(stats.mu, stats.se, panel.n_models, config.alpha_screen, config.s)
+    else:
+        keep = np.arange(stats.mu.size)
+    dropped = tuple(int(j) for j in np.delete(stats.competitors, keep))
+    if keep.size == 0:
+        # Reference beats every competitor beyond the screening bar;
+        # nothing contradicts its optimality.
+        return _Evidence(decided=(1.0, math.inf), dropped=dropped)
+    return _Evidence(stats.mu[keep], stats.psi[:, keep], dropped=dropped)
+
+
+def _pcv_evidence(panel: LossPanel, ties: TieStreams, m: int) -> _Evidence:
+    competitors = [j for j in range(panel.n_models) if j != m]
+    ind = np.empty((panel.n, len(competitors)))
+    a = panel.column(m)
+    for idx, j in enumerate(competitors):
+        b = panel.column(j)
+        wins = (a < b).astype(float)
+        tied = np.nonzero(a == b)[0]
+        if tied.size:
+            wins[tied] = ties.pair(m, j).random(tied.size) < 0.5
+        ind[:, idx] = wins
+    return _Evidence(ind.mean(axis=0) - 0.5, ind - ind.mean(axis=0))
+
+
+def _cvc_evidence(panel: LossPanel, m: int) -> _Evidence:
+    competitors = [j for j in range(panel.n_models) if j != m]
+    diff = panel.losses[:, competitors] - panel.column(m)[:, None]  # >0 favors m
+    means = diff.mean(axis=0)
+    sds = diff.std(axis=0)
+    scale = max(1.0, float(np.abs(panel.losses).max()))
+    live = sds > _DEGENERATE_SD * scale
+    if np.any(~live & (means < 0)):
+        return _Evidence(decided=(0.0, -math.inf))
+    if not live.any():
+        return _Evidence(decided=(1.0, math.inf))
+    psi = (diff[:, live] - means[live]) / sds[live]
+    psi -= psi.mean(axis=0)   # keep centering exact after the 1/sd scaling
+    return _Evidence(means[live] / sds[live], psi)
+
+
+def rsr_from_panel(panel: LossPanel, config: SelectionConfig,
+                   method: str = "rsr_vfold") -> ConfidenceSet:
+    """Rank-sum confidence set computed directly from a loss panel."""
+    ties = TieStreams(config.seed, TAG_RSR_TIES)
+    return _select_loop(panel, config, method, TAG_RSR_BOOT,
+                        partial(_rsr_evidence, panel, config, ties))
+
+
 def pcv_select(panel: LossPanel, config: SelectionConfig) -> ConfidenceSet:
     """Paired-comparison confidence set: per-observation win indicators."""
-    n, n_models = panel.n, panel.n_models
     ties = TieStreams(config.seed, TAG_PCV_TIES)
-    p_vals = np.zeros(n_models)
-    diagnostics: dict[int, dict] = {}
-    for m in range(n_models):
-        competitors = [j for j in range(n_models) if j != m]
-        ind = np.empty((n, len(competitors)))
-        a = panel.column(m)
-        for idx, j in enumerate(competitors):
-            b = panel.column(j)
-            wins = (a < b).astype(float)
-            tied = np.nonzero(a == b)[0]
-            if tied.size:
-                coins = ties.pair(m, j).random(tied.size) < 0.5
-                wins[tied] = coins
-            ind[:, idx] = wins
-        mu = ind.mean(axis=0) - 0.5
-        psi = ind - ind.mean(axis=0)
-        boot = BootstrapConfig(B=config.B,
-                               seed=subseed(config.seed, TAG_PCV_BOOT, m),
-                               projection=config.projection)
-        result = run_min_bootstrap(mu, psi, boot)
-        p_vals[m] = result.p_value
-        diagnostics[m] = {"t_obs": result.t_obs, "n_cols": len(competitors)}
-    return _assemble("pcv", panel.model_ids, config.alpha, p_vals, {}, [],
-                     diagnostics)
+    return _select_loop(panel, config, "pcv", TAG_PCV_BOOT,
+                        partial(_pcv_evidence, panel, ties))
 
 
 def cvc_style_select(panel: LossPanel, config: SelectionConfig) -> ConfidenceSet:
@@ -213,36 +249,8 @@ def cvc_style_select(panel: LossPanel, config: SelectionConfig) -> ConfidenceSet
     decided by sign: a constant win for the competitor rejects m outright,
     a constant win or exact tie for m carries no evidence against it.
     """
-    n, n_models = panel.n, panel.n_models
-    p_vals = np.zeros(n_models)
-    diagnostics: dict[int, dict] = {}
-    for m in range(n_models):
-        competitors = [j for j in range(n_models) if j != m]
-        diff = panel.losses[:, competitors] - panel.column(m)[:, None]  # >0 favors m
-        means = diff.mean(axis=0)
-        sds = diff.std(axis=0)
-        scale = max(1.0, float(np.abs(panel.losses).max()))
-        live = sds > _DEGENERATE_SD * scale
-        beaten = (~live) & (means < 0)
-        if beaten.any():
-            p_vals[m] = 0.0
-            diagnostics[m] = {"t_obs": -math.inf, "n_cols": 0}
-            continue
-        if not live.any():
-            p_vals[m] = 1.0
-            diagnostics[m] = {"t_obs": math.inf, "n_cols": 0}
-            continue
-        z_mu = means[live] / sds[live]
-        psi = (diff[:, live] - means[live]) / sds[live]
-        psi -= psi.mean(axis=0)   # keep centering exact after the 1/sd scaling
-        boot = BootstrapConfig(B=config.B,
-                               seed=subseed(config.seed, TAG_CVC_BOOT, m),
-                               projection=config.projection)
-        result = run_min_bootstrap(z_mu, psi, boot)
-        p_vals[m] = result.p_value
-        diagnostics[m] = {"t_obs": result.t_obs, "n_cols": int(live.sum())}
-    return _assemble("cvc_style", panel.model_ids, config.alpha, p_vals, {}, [],
-                     diagnostics)
+    return _select_loop(panel, config, "cvc_style", TAG_CVC_BOOT,
+                        partial(_cvc_evidence, panel))
 
 
 def cv_select(panel_risk, model_ids=None, alpha: float = 0.1) -> ConfidenceSet:
@@ -300,38 +308,20 @@ def _fit_all(candidates, x, y):
     return fits, failed
 
 
-def panel_from_split(candidates, data: Dataset, train_idx, eval_idx,
-                     loss: LossFn):
-    """Train on one index set, evaluate losses on the other.
-
-    Returns (panel over successfully fitted candidates, failed ids).
-    A candidate also counts as failed if its predictions produce
-    non-finite losses.
-    """
-    fits, failed = _fit_all(candidates, data.x[train_idx], data.y[train_idx])
-    cols = {}
-    for c in candidates:
-        if c.model_id not in fits:
-            continue
-        pred = fits[c.model_id].predict(data.x[eval_idx])
-        resid = data.y[eval_idx] - pred
-        if not np.all(np.isfinite(resid)):
-            failed.append(c.model_id)
-            continue
-        cols[c.model_id] = loss_eval(loss, resid)
-    return _panel_from_columns(candidates, cols), failed
-
-
 def panel_from_folds(candidates, data: Dataset, folds, loss: LossFn):
-    """Out-of-fold loss panel over all observations.
+    """Out-of-fold loss panel over the observations the folds cover.
 
-    Each candidate is trained once per fold on the complement; observation
-    k is scored by the model that never saw it. A candidate failing on any
-    fold is dropped entirely.
+    Each candidate is trained once per fold on the fold's complement;
+    observation k is scored by the model that never saw it. The panel's
+    rows are the folds' indices in ascending order: all n for a V-fold
+    partition, the evaluation half for a single sample-split fold. A
+    candidate failing on any fold, or giving non-finite losses, is dropped.
+    Returns (panel over the survivors or None if fewer than two, sorted
+    failed ids).
     """
-    n = data.n
-    all_idx = np.arange(n)
-    preds = {c.model_id: np.empty(n) for c in candidates}
+    rows = np.sort(np.concatenate(folds))
+    all_idx = np.arange(data.n)
+    preds = {c.model_id: np.empty(data.n) for c in candidates}
     failed = set()
     for fold in folds:
         train_idx = np.setdiff1d(all_idx, fold)
@@ -343,46 +333,44 @@ def panel_from_folds(candidates, data: Dataset, folds, loss: LossFn):
     for c in candidates:
         if c.model_id in failed:
             continue
-        resid = data.y - preds[c.model_id]
+        resid = data.y[rows] - preds[c.model_id][rows]
         if not np.all(np.isfinite(resid)):
             failed.add(c.model_id)
             continue
         cols[c.model_id] = loss_eval(loss, resid)
-    return _panel_from_columns(candidates, cols), sorted(failed)
+    if len(cols) < 2:
+        return None, sorted(failed)
+    panel = LossPanel(losses=np.column_stack(list(cols.values())),
+                      model_ids=tuple(cols))
+    return panel, sorted(failed)
 
 
-def _panel_from_columns(candidates, cols):
-    ids = [c.model_id for c in candidates if c.model_id in cols]
-    if len(ids) < 2:
-        return None
-    losses = np.column_stack([cols[i] for i in ids])
-    return LossPanel(losses=losses, model_ids=tuple(ids))
-
-
-def _selection_from_subpanel(candidates, panel, failed, config, method):
-    """Map a sub-panel's confidence set back onto the full candidate list."""
+def _rsr_from_folds(candidates, data: Dataset, folds, config: SelectionConfig,
+                    loss: LossFn, method: str) -> ConfidenceSet:
+    """RSR on the out-of-fold panel, mapped back onto every candidate."""
+    if len(candidates) < 2:
+        raise ContractError("need at least two candidates")
+    panel, failed = panel_from_folds(candidates, data, folds, loss)
     all_ids = tuple(c.model_id for c in candidates)
     p_vals = np.zeros(len(all_ids))
-    failed_idx = tuple(i for i, mid in enumerate(all_ids) if mid in failed)
+    screened_out: dict[int, tuple[int, ...]] = {}
+    diagnostics: dict[int, dict] = {}
     if panel is None:
         # Fewer than two candidates survived training; the lone survivor
         # (if any) has nothing to be compared against.
-        screened_out: dict[int, tuple[int, ...]] = {}
-        diagnostics: dict[int, dict] = {}
         for i, mid in enumerate(all_ids):
             if mid not in failed:
                 p_vals[i] = 1.0
                 diagnostics[i] = {"t_obs": math.inf, "n_cols": 0}
-        return _assemble(method, all_ids, config.alpha, p_vals, screened_out,
-                         failed_idx, diagnostics)
-    sub = rsr_from_panel(panel, config, method=method)
-    pos = {mid: i for i, mid in enumerate(all_ids)}
-    remap = [pos[mid] for mid in panel.model_ids]
-    for sub_i, full_i in enumerate(remap):
-        p_vals[full_i] = sub.p_values[sub_i]
-    screened_out = {remap[m]: tuple(remap[j] for j in js)
-                    for m, js in sub.screened_out.items()}
-    diagnostics = {remap[m]: d for m, d in sub.diagnostics.items()}
+    else:
+        sub = rsr_from_panel(panel, config, method=method)
+        pos = {mid: i for i, mid in enumerate(all_ids)}
+        remap = [pos[mid] for mid in panel.model_ids]
+        p_vals[remap] = sub.p_values
+        screened_out = {remap[m]: tuple(remap[j] for j in js)
+                        for m, js in sub.screened_out.items()}
+        diagnostics = {remap[m]: d for m, d in sub.diagnostics.items()}
+    failed_idx = [i for i, mid in enumerate(all_ids) if mid in failed]
     return _assemble(method, all_ids, config.alpha, p_vals, screened_out,
                      failed_idx, diagnostics)
 
@@ -392,12 +380,8 @@ def rsr_split(candidates, data: Dataset, config: SelectionConfig,
     """Sample-splitting rank-sum selection: train on half, test on half."""
     if data.n < 8:
         raise ContractError("sample splitting needs at least 8 observations")
-    if len(candidates) < 2:
-        raise ContractError("need at least two candidates")
-    train_idx, eval_idx = make_split(data.n, config.seed)
-    panel, failed = panel_from_split(candidates, data, train_idx, eval_idx, loss)
-    return _selection_from_subpanel(candidates, panel, set(failed), config,
-                                    "rsr_split")
+    eval_idx = make_split(data.n, config.seed)[1]
+    return _rsr_from_folds(candidates, data, [eval_idx], config, loss, "rsr_split")
 
 
 def rsr_vfold(candidates, data: Dataset, config: SelectionConfig,
@@ -405,9 +389,5 @@ def rsr_vfold(candidates, data: Dataset, config: SelectionConfig,
     """V-fold rank-sum selection over out-of-fold losses on all points."""
     if config.V < 2:
         raise ContractError("rsr_vfold needs V >= 2; use rsr_split for V = 0")
-    if len(candidates) < 2:
-        raise ContractError("need at least two candidates")
     folds = make_folds(data.n, config.V, config.seed)
-    panel, failed = panel_from_folds(candidates, data, folds, loss)
-    return _selection_from_subpanel(candidates, panel, set(failed), config,
-                                    "rsr_vfold")
+    return _rsr_from_folds(candidates, data, folds, config, loss, "rsr_vfold")

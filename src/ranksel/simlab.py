@@ -26,7 +26,7 @@ from .errors import ConfigError
 from .models import (Dataset, FittedLinear, LossFn, adaptive_tau, enumerate_subsets,
                      fit_huber_adaptive, fit_huber_lasso, huber_lasso_lipschitz,
                      huber_location, lambda_fold_correction, lambda_path, loss_eval,
-                     mad_scale, subset_mask_id)
+                     robust_scale, subset_mask_id)
 from .ranksum import LossPanel
 from .rng import keyed_stream, subseed
 from .select import (Candidate, SelectionConfig, cv_select, cvc_style_select,
@@ -177,10 +177,7 @@ def ar1_design(n: int, p: int, rho: float, stream: np.random.Generator) -> np.nd
 
 def _intercept_only_fitter(d: int):
     def fit(x, y):
-        scale = mad_scale(y)
-        if scale <= 0:
-            scale = max(float(np.std(y)), 1e-12)
-        tau = adaptive_tau(len(y), 0, scale)
+        tau = adaptive_tau(len(y), 0, robust_scale(y))
         return FittedLinear(intercept=huber_location(y, tau), coef=np.zeros(d))
     return fit
 
@@ -210,6 +207,18 @@ def _selection_config(case_cfg, rep: int, tag: int, v_folds: int) -> SelectionCo
                            screening_enabled=case_cfg.screening)
 
 
+def _select(method: str, panel: LossPanel, sel_cfg: SelectionConfig):
+    """One study method's confidence set on a replicate's loss panel."""
+    # Looked up at call time, so wrappers installed on this module apply.
+    if method == "rsr":
+        return rsr_from_panel(panel, sel_cfg)
+    if method == "pcv":
+        return pcv_select(panel, sel_cfg)
+    if method == "cvc_style":
+        return cvc_style_select(panel, sel_cfg)
+    return cv_select(panel.losses.mean(axis=0), panel.model_ids, alpha=sel_cfg.alpha)
+
+
 def case1_replicate(config: Case1Config, rep: int) -> list[dict]:
     """One Case 1 draw: fit, select with every method, return metric rows."""
     rng = keyed_stream(config.seed, TAG_C1_DATA, rep)
@@ -219,10 +228,7 @@ def case1_replicate(config: Case1Config, rep: int) -> list[dict]:
     y = CASE1_BETA[0] + x @ CASE1_BETA[1:] + eps
     data = Dataset(x=x, y=y)
 
-    scale = mad_scale(y)
-    if scale <= 0:
-        scale = max(float(np.std(y)), 1e-12)
-    loss = LossFn("huber", tau=adaptive_tau(n, d, scale))
+    loss = LossFn("huber", tau=adaptive_tau(n, d, robust_scale(y)))
 
     candidates = subset_candidates(d)
     folds = make_folds(n, config.V, subseed(config.seed, TAG_C1_FOLDS, rep))
@@ -234,15 +240,7 @@ def case1_replicate(config: Case1Config, rep: int) -> list[dict]:
 
     rows = []
     for method in config.methods:
-        if method == "rsr":
-            cs = rsr_from_panel(panel, sel_cfg)
-        elif method == "pcv":
-            cs = pcv_select(panel, sel_cfg)
-        elif method == "cvc_style":
-            cs = cvc_style_select(panel, sel_cfg)
-        else:
-            cs = cv_select(panel.losses.mean(axis=0), panel.model_ids,
-                           alpha=config.alpha)
+        cs = _select(method, panel, sel_cfg)
         row = {"rep": rep, "method": method,
                "set_size": cs.set_size,
                "correct": bool(true_id in cs.selected_ids),
@@ -320,10 +318,7 @@ def case2_replicate(config: Case2Config, rep: int) -> list[dict]:
     data = Dataset(x=x, y=y)
     true_support = frozenset(np.nonzero(beta)[0].tolist())
 
-    scale = mad_scale(y)
-    if scale <= 0:
-        scale = max(float(np.std(y)), 1e-12)
-    tau = adaptive_tau(n, p, scale)
+    tau = adaptive_tau(n, p, robust_scale(y))
     path = lambda_path(data, k_path=config.k_path, tau=tau)
     k = len(path)
 
@@ -350,15 +345,7 @@ def case2_replicate(config: Case2Config, rep: int) -> list[dict]:
     rows = []
     refit_cache: dict[int, FittedLinear] = {}
     for method in config.methods:
-        if method == "rsr":
-            cs = rsr_from_panel(panel, sel_cfg)
-        elif method == "pcv":
-            cs = pcv_select(panel, sel_cfg)
-        elif method == "cvc_style":
-            cs = cvc_style_select(panel, sel_cfg)
-        else:
-            cs = cv_select(panel.losses.mean(axis=0), panel.model_ids,
-                           alpha=config.alpha)
+        cs = _select(method, panel, sel_cfg)
         if method == "cv":
             chosen = cs.selected[0]
         elif cs.selected:

@@ -112,7 +112,10 @@ class TestConfigFile:
         cfg = RunConfig(command="select", seed=7,
                         data_path="d.csv", response="y", learners=("ols",),
                         params={"alpha": 0.1, "B": 500})
-        assert RunConfig.from_dict(cfg.to_dict()) == cfg
+        assert cfg.to_dict() == {"command": "select", "seed": 7, "data_path": "d.csv",
+                                 "response": "y", "learners": ["ols"],
+                                 "losses_path": "", "case": "",
+                                 "params": {"alpha": 0.1, "B": 500}}
 
 
 class TestCliSelect:
@@ -215,6 +218,31 @@ class TestCliPanel:
         rc = main(["panel", "--losses", str(panel_csv[0]), "--seed", "1",
                    "--out", str(tmp_path / "o")])
         assert rc == 4
+
+
+INVALID_SELECTION_FLAGS = [
+    (command, flags)
+    for command in ("select", "panel")
+    for flags in (["--alpha", "1.5"], ["--alpha-screen", "0"], ["--s=-1"],
+                  ["--B", "50"], ["--folds", "1"])
+    if not (command == "panel" and flags[0] == "--folds")   # panel has no folds
+]
+
+
+@pytest.mark.parametrize("command,flags", INVALID_SELECTION_FLAGS,
+                         ids=[f"{c}{f[0]}" for c, f in INVALID_SELECTION_FLAGS])
+def test_invalid_selection_flag_exit_2(command, flags, data_csv, panel_csv, tmp_path,
+                                       capsys):
+    out = tmp_path / "out"
+    if command == "select":
+        argv = ["select", "--data", str(data_csv), "--response", "y",
+                "--learners", "ols,huber"]
+    else:
+        argv = ["panel", "--losses", str(panel_csv[0])]
+    rc = main(argv + flags + ["--seed", "1", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("ranksel: ")
+    assert not (out / "report.json").exists()
 
 
 class TestCliSimulate:

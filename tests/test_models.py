@@ -7,7 +7,8 @@ from ranksel import (ContractError, Dataset, DataError, LearnerError, LossFn,
                      adaptive_tau, enumerate_subsets, fit_huber, fit_huber_adaptive,
                      fit_huber_lasso, fit_ols, huber_location, lambda_fold_correction,
                      lambda_path, loss_eval, mad_scale)
-from ranksel.models import huber_lasso_lipschitz, huber_score, subset_mask_id
+from ranksel.models import (huber_lasso_lipschitz, huber_score, robust_scale,
+                             subset_mask_id)
 
 
 class TestLossEval:
@@ -271,6 +272,21 @@ class TestHelpers:
         rng = np.random.default_rng(8)
         x = rng.standard_normal(100_000)
         assert mad_scale(x) == pytest.approx(1.0, abs=0.02)
+
+    def test_robust_scale_is_mad_when_positive(self):
+        x = np.random.default_rng(10).standard_normal(101)
+        assert robust_scale(x) == mad_scale(x) > 0
+
+    def test_robust_scale_falls_back_to_std_when_mad_is_zero(self):
+        x = np.array([0.0] * 7 + [1.0, 2.0])
+        assert mad_scale(x) == 0.0
+        assert robust_scale(x) == float(np.std(x)) > 1e-12
+
+    def test_robust_scale_floor(self):
+        assert robust_scale(np.full(5, 3.0)) == 1e-12
+        tiny = np.array([0.0] * 7 + [1e-13])
+        assert mad_scale(tiny) == 0.0 and 0.0 < np.std(tiny) < 1e-12
+        assert robust_scale(tiny) == 1e-12
 
     def test_adaptive_tau_formula(self):
         assert adaptive_tau(100, 3, 2.0) == pytest.approx(

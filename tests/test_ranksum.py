@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ranksel import (ContractError, DataError, LossPanel, TieStreams, gamma_hat,
-                     keyed_stream, pair_stats, projection_estimates, ranksum, ranksum_u,
-                     se_ranksum)
+from ranksel import (ContractError, DataError, LossPanel, TieStreams, keyed_stream,
+                     pair_stats, ranksum, ranksum_u, se_ranksum)
 
 
 def brute_ranksum(a, b, rng=None):
@@ -223,62 +222,6 @@ class TestPairStats:
                           model_ids=("a", "b"))
         with pytest.raises(ContractError):
             pair_stats(panel, 0)
-
-
-class TestProjectionEstimates:
-    def test_constant_kernel_zero(self):
-        g1, g2 = projection_estimates(np.full((4, 4), 3.7))
-        np.testing.assert_allclose(g1, 0.0, atol=1e-14)
-        np.testing.assert_allclose(g2, 0.0, atol=1e-14)
-
-    def test_additive_kernel_hand_values(self):
-        u = np.array([1.0, 2.0])
-        v = np.array([10.0, 20.0])
-        k = u[:, None] + v[None, :]
-        g1, g2 = projection_estimates(k)
-        np.testing.assert_allclose(g1, [-0.5, 0.5])
-        np.testing.assert_allclose(g2, [-5.0, 5.0])
-
-    def test_centering(self):
-        rng = np.random.default_rng(43)
-        g1, g2 = projection_estimates(rng.standard_normal((5, 5)))
-        assert abs(g1.sum()) < 1e-12
-        assert abs(g2.sum()) < 1e-12
-
-    def test_nonsquare_rejected(self):
-        with pytest.raises(ContractError):
-            projection_estimates(np.ones((3, 4)))
-
-
-class TestGammaHat:
-    def test_scaled_orthonormal_gives_identity(self):
-        rng = np.random.default_rng(45)
-        n, p = 20, 3
-        q, _ = np.linalg.qr(rng.standard_normal((n, p)))
-        g1 = q * math.sqrt(n)
-        gam = gamma_hat(g1, np.zeros_like(g1))
-        np.testing.assert_allclose(gam, np.eye(p), atol=1e-12)
-
-    def test_p1_population_variance(self):
-        rng = np.random.default_rng(47)
-        g1 = rng.standard_normal(15)
-        g2 = rng.standard_normal(15)
-        gam = gamma_hat(g1, g2)
-        s = g1 + g2
-        assert gam.shape == (1, 1)
-        assert gam[0, 0] == pytest.approx(np.mean(s * s))
-
-    def test_matches_second_moment_matrix(self):
-        rng = np.random.default_rng(49)
-        g1 = rng.standard_normal((20, 3))
-        g2 = rng.standard_normal((20, 3))
-        s = g1 + g2
-        expect = sum(np.outer(s[i], s[i]) for i in range(20)) / 20
-        np.testing.assert_allclose(gamma_hat(g1, g2), expect, atol=1e-12)
-        # symmetric PSD
-        gam = gamma_hat(g1, g2)
-        np.testing.assert_allclose(gam, gam.T)
-        assert np.all(np.linalg.eigvalsh(gam) > -1e-12)
 
 
 class TestLossPanel:

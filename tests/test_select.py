@@ -1,16 +1,23 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
+from test_ranksum import loss_panels
 
 from ranksel import (Candidate, ContractError, Dataset, LossFn, LossPanel,
                      SelectionConfig, cv_select, cvc_style_select, fit_ols,
-                     make_folds, make_split, panel_from_folds, panel_from_split,
+                     make_folds, make_split, panel_from_folds,
                      TieStreams, pair_stats, pcv_select, rsr_from_panel, rsr_split,
                      rsr_vfold, screen)
+from ranksel import select
 from ranksel.errors import LearnerError
-from ranksel.select import TAG_RSR_TIES
+from ranksel.ranksum import PSI_CENTERING_TOL
+from ranksel.rng import subseed
+from ranksel.select import TAG_CVC_BOOT, TAG_PCV_BOOT, TAG_RSR_BOOT, TAG_RSR_TIES
 
 
 def _panel(losses, ids=None):
@@ -226,6 +233,109 @@ class TestRsrFromPanel:
         assert round(math.sqrt(n) * stats.mu.min(), 3) == 0.150
 
 
+BOOT_TAGS = {rsr_from_panel: TAG_RSR_BOOT, pcv_select: TAG_PCV_BOOT,
+             cvc_style_select: TAG_CVC_BOOT}
+
+
+def _loop_panels():
+    rng = np.random.default_rng(19)
+    n = 200
+    base = np.abs(rng.standard_normal(n))
+    return {
+        # column 0 beats both others on every pair of rows
+        "dominant": np.column_stack([base, base + 50.0 + rng.random(n),
+                                     np.abs(rng.standard_normal(n)) + 60.0]),
+        # column 1 loses to column 0 by a constant
+        "constant_gap": np.column_stack([base, base + 2.0]),
+        # three copies of one column
+        "identical": np.column_stack([base, base, base]),
+    }
+
+
+class TestSelectionLoop:
+    """Bookkeeping of the one loop behind the three confidence-set methods."""
+
+    # (method, panel) -> references whose p-value is decided without a
+    # bootstrap, with the t_obs they report
+    DECIDED = {
+        (rsr_from_panel, "dominant"): {0: math.inf},
+        (rsr_from_panel, "constant_gap"): {0: math.inf},
+        (rsr_from_panel, "identical"): {},
+        (pcv_select, "dominant"): {},
+        (pcv_select, "constant_gap"): {},
+        (pcv_select, "identical"): {},
+        (cvc_style_select, "dominant"): {},
+        (cvc_style_select, "constant_gap"): {0: math.inf, 1: -math.inf},
+        (cvc_style_select, "identical"): {0: math.inf, 1: math.inf, 2: math.inf},
+    }
+
+    @pytest.mark.parametrize("method,name", list(DECIDED),
+                             ids=[f"{f.__name__}-{p}" for f, p in DECIDED])
+    def test_n_cols_t_obs_and_screened_out(self, method, name):
+        panel = _panel(_loop_panels()[name])
+        n_models = panel.n_models
+        cfg = SelectionConfig(seed=23)
+        cols_by_seed = {}
+        real = select.run_min_bootstrap
+
+        def recording(mu, psi, boot):
+            cols_by_seed[boot.seed] = psi.shape[1]
+            return real(mu, psi, boot)
+
+        with mock.patch.object(select, "run_min_bootstrap", recording):
+            cs = method(panel, cfg)
+        decided = self.DECIDED[(method, name)]
+        assert sorted(cs.diagnostics) == list(range(n_models))
+        for m, diag in cs.diagnostics.items():
+            seed = subseed(cfg.seed, BOOT_TAGS[method], m)
+            if m in decided:
+                assert seed not in cols_by_seed
+                assert diag == {"t_obs": decided[m], "n_cols": 0}
+                assert cs.p_values[m] == (1.0 if decided[m] > 0 else 0.0)
+            else:
+                assert diag["n_cols"] == cols_by_seed[seed] > 0
+                assert math.isfinite(diag["t_obs"])
+        assert len(cols_by_seed) == n_models - len(decided)
+        assert cs.bootstrap_columns == sum(cols_by_seed.values())
+        if method is rsr_from_panel:
+            assert sorted(cs.screened_out) == list(range(n_models))
+            for m, diag in cs.diagnostics.items():
+                assert diag["n_cols"] + len(cs.screened_out[m]) == n_models - 1
+        else:
+            assert cs.screened_out == {}
+
+    @settings(max_examples=40, deadline=None)
+    @given(panel=loss_panels(), seed=st.integers(0, 2**32 - 1),
+           projection=st.sampled_from(("row_only", "symmetrized")))
+    def test_bootstrapped_psi_is_centered(self, panel, seed, projection):
+        real = select.run_min_bootstrap
+
+        def checking(mu, psi, boot):
+            assert psi.shape == (panel.n, mu.size)
+            assert np.all(np.abs(psi.mean(axis=0)) <= PSI_CENTERING_TOL * panel.n)
+            return real(mu, psi, boot)
+
+        cfg = SelectionConfig(seed=seed, projection=projection)
+        with mock.patch.object(select, "run_min_bootstrap", checking):
+            for method in BOOT_TAGS:
+                method(panel, cfg)
+
+    @settings(max_examples=40, deadline=None)
+    @given(panel=loss_panels(), seed=st.integers(0, 2**32 - 1),
+           transform=st.sampled_from(("arcsinh", "cbrt", "affine", "exp")))
+    def test_rank_methods_invariant_under_increasing_maps(self, panel, seed,
+                                                          transform):
+        fn = {"arcsinh": np.arcsinh, "cbrt": np.cbrt,
+              "affine": lambda x: 3.0 * x - 7.0,
+              "exp": lambda x: np.exp(x / 1e5)}[transform]
+        # the map must keep distinct losses distinct (and in order)
+        assume(np.all(np.diff(fn(np.unique(panel.losses))) > 0))
+        mapped = LossPanel(losses=fn(panel.losses), model_ids=panel.model_ids)
+        cfg = SelectionConfig(seed=seed)
+        assert rsr_from_panel(mapped, cfg).to_dict() == rsr_from_panel(panel, cfg).to_dict()
+        assert pcv_select(mapped, cfg).to_dict() == pcv_select(panel, cfg).to_dict()
+
+
 class TestSplitsAndFolds:
     def test_split_sizes_odd_extra_to_training(self):
         train, ev = make_split(11, seed=3)
@@ -319,8 +429,8 @@ class TestRsrSplitAndVfold:
         cands = _ols_candidates(2)
         folds = make_folds(n, 2, seed=9)
         vpanel, _ = panel_from_folds(cands, data, folds, loss)
-        p0, _ = panel_from_split(cands, data, folds[1], folds[0], loss)
-        p1, _ = panel_from_split(cands, data, folds[0], folds[1], loss)
+        p0, _ = panel_from_folds(cands, data, [folds[0]], loss)
+        p1, _ = panel_from_folds(cands, data, [folds[1]], loss)
         np.testing.assert_array_equal(vpanel.losses[folds[0]], p0.losses)
         np.testing.assert_array_equal(vpanel.losses[folds[1]], p1.losses)
 
