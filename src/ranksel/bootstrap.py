@@ -10,6 +10,13 @@ Sharing e across columns preserves the joint dependence of the p statistics,
 which is what makes the minimum's distribution come out right. The observed
 statistic to compare against is T = sqrt(n) * min_j mu_j, so both live on
 the same scale. p-values count draws strictly below the observed value.
+
+The multipliers do not depend on psi, so one (B, n) block can serve many
+tests: a ``BootstrapConfig`` draws its block on first use and hands the
+same block to every later bootstrap run with it. A selection call makes
+one config and shares its block across all reference models; each
+p-value stays marginally valid, and the block lives only as long as the
+config.
 """
 
 from __future__ import annotations
@@ -29,10 +36,11 @@ RECOMMENDED_MIN_DRAWS = 500
 
 @dataclass(frozen=True)
 class BootstrapConfig:
-    """Multiplier bootstrap settings: draw count and seed."""
+    """Multiplier bootstrap settings: draw count and seed (and its draws)."""
 
     B: int = 500
     seed: int = 0
+    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if int(self.B) < 100:
@@ -45,6 +53,15 @@ class BootstrapConfig:
             )
         object.__setattr__(self, "B", int(self.B))
         object.__setattr__(self, "seed", int(self.seed))
+
+    def multipliers(self, n: int) -> np.ndarray:
+        """The read-only (B, n) multiplier block, drawn once per config and n."""
+        block = self._blocks.get(n)
+        if block is None:
+            block = multiplier_matrix(self.seed, self.B, n)
+            block.flags.writeable = False
+            self._blocks[n] = block
+        return block
 
 
 @dataclass(frozen=True)
@@ -59,7 +76,8 @@ def multiplier_min_bootstrap(psi, config: BootstrapConfig) -> np.ndarray:
 
     psi must have (near) mean-zero columns; the same multiplier vector is
     applied to every column within a draw. Draw b is a pure function of
-    (config.seed, b), so results do not depend on scheduling.
+    (config.seed, b), so results do not depend on scheduling; calls with
+    the same config and n reuse one multiplier block.
     """
     psi = np.asarray(psi, dtype=float)
     if psi.ndim != 2:
@@ -74,8 +92,7 @@ def multiplier_min_bootstrap(psi, config: BootstrapConfig) -> np.ndarray:
         raise ContractError(
             f"psi columns are not centered (max |mean| = {col_means.max():.3e})"
         )
-    mult = multiplier_matrix(config.seed, config.B, n)   # (B, n)
-    return (mult @ psi).min(axis=1) / math.sqrt(n)
+    return (config.multipliers(n) @ psi).min(axis=1) / math.sqrt(n)
 
 
 def p_value(t_obs: float, draws) -> float:

@@ -136,20 +136,27 @@ def _write_selection_outputs(bundle: ReportBundle, confidence_set, out_dir):
     write_pvalues_csv(out / "pvalues.csv", confidence_set)
 
 
+def _loss_fn(args) -> LossFn | None:
+    """The loss from the flags, or None when the Huber knee adapts to the
+    data; a rejected value is a usage error."""
+    if args.loss == "huber" and args.tau is None:
+        return None
+    try:
+        return LossFn(args.loss, tau=args.tau if args.loss == "huber" else None)
+    except ContractError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def cmd_select(args) -> int:
     start = time.perf_counter()
     config = _selection_config(args)
+    loss = _loss_fn(args)
     names = tuple(n.strip() for n in args.learners.split(",") if n.strip())
     candidates = _candidates_from_names(names)
     x, y, _features = read_xy_csv(args.data, args.response)
     data = Dataset(x=x, y=y)
-    if args.loss == "huber":
-        tau = args.tau
-        if tau is None:
-            tau = adaptive_tau(data.n, data.d, robust_scale(y))
-        loss = LossFn("huber", tau=tau)
-    else:
-        loss = LossFn(args.loss)
+    if loss is None:
+        loss = LossFn("huber", tau=adaptive_tau(data.n, data.d, robust_scale(y)))
     if config.V == 0:
         cs = rsr_split(candidates, data, config, loss)
     else:

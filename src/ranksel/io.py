@@ -143,7 +143,6 @@ class RunConfig:
     response: str = ""
     learners: tuple[str, ...] = ()
     losses_path: str = ""
-    case: str = ""
     params: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -154,7 +153,7 @@ class RunConfig:
 
 @dataclass
 class ReportBundle:
-    """A run's outputs: config echo, payload, diagnostics, wall time.
+    """A run's outputs: config echo, payload, wall time.
 
     Wall time is reported on the console only; serialized reports contain
     just the deterministic fields.
@@ -163,12 +162,11 @@ class ReportBundle:
     version: str
     config: RunConfig
     payload: dict
-    diagnostics: dict = field(default_factory=dict)
     wall_time_s: float = 0.0
 
     def report_dict(self) -> dict:
         return {"version": self.version, "config": self.config.to_dict(),
-                "payload": self.payload, "diagnostics": self.diagnostics}
+                "payload": self.payload}
 
     def write_report(self, out_dir) -> Path:
         out = Path(out_dir)

@@ -256,10 +256,10 @@ def pair_stats(panel: LossPanel, m: int, projection: str = "symmetrized",
       two-part projection whose empirical variance matches the
       dependent-sample variance formula behind :func:`se_ranksum`.
 
-    Tie coins come from ``ties.pair(m, j)`` so each pair's stream is
-    independent of evaluation order; it is only requested for a pair with
-    a tied cell. ``competitors`` restricts the columns compared (default:
-    all j != m).
+    Tie coins come from ``ties.pair(id_m, id_j)``, keyed by the two model
+    ids, so each pair's stream is independent of evaluation order and of
+    column positions; it is only requested for a pair with a tied cell.
+    ``competitors`` restricts the columns compared (default: all j != m).
     """
     if projection not in ("row_only", "symmetrized"):
         raise ContractError(f"unknown projection mode: {projection!r}")
@@ -281,13 +281,14 @@ def pair_stats(panel: LossPanel, m: int, projection: str = "symmetrized",
         raise ContractError("need at least one competitor")
 
     a_sorted, a_order = panel.sorted_column(m)
+    ids = panel.model_ids
     symmetrized = projection == "symmetrized"
     u = np.empty(p)
     se = np.empty(p)
     psi = np.empty((n, p))
     for idx, j in enumerate(competitors):
         row, col, hi, right = _rank_counts(a_sorted, a_order, *panel.sorted_column(j),
-                                           partial(ties.pair, m, j))
+                                           partial(ties.pair, ids[m], ids[j]))
         u_j = row.sum() / (n * n)
         mu_j = u_j - 0.5
         if symmetrized:

@@ -10,6 +10,10 @@ counts, and evaluation orders. Streams are derived two ways:
   Philox key and draws the whole B x n Gaussian multiplier block in one
   call; entry (b, k) is the (b*n + k)-th normal of that counter-based
   stream, hence a pure function of (seed, b, k) (hot path).
+
+Models enter a key path by name, never by position: ``model_key`` digests a
+model id's UTF-8 bytes, so a pair's tie coins do not move when the panel's
+columns are reordered or another candidate drops out.
 """
 
 from __future__ import annotations
@@ -35,6 +39,16 @@ def subseed(seed: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def model_key(model_id: str) -> int:
+    """Stable 64-bit key of a model id (a digest, not the salted ``hash``)."""
+    # Imported on first use: hashlib loads OpenSSL (about 10 ms at start-up),
+    # and only panels with tied losses ever need a model key.
+    import hashlib
+
+    digest = hashlib.blake2b(str(model_id).encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "little")
+
+
 def multiplier_matrix(seed: int, b_draws: int, n: int) -> np.ndarray:
     """B x n standard-normal multipliers from one Philox stream."""
     key = np.array([int(seed) & _MASK64, 0], dtype=np.uint64)
@@ -45,14 +59,15 @@ def multiplier_matrix(seed: int, b_draws: int, n: int) -> np.ndarray:
 class TieStreams:
     """Per-pair tie-breaking streams derived from one seed.
 
-    ``pair(m, j)`` returns a fresh Generator keyed by (seed, tag, m, j), so
-    the coin sequence consumed while comparing models m and j does not
-    depend on which other pairs were evaluated, or in what order.
+    ``pair(id_m, id_j)`` returns a fresh Generator keyed by (seed, tag,
+    model_key(id_m), model_key(id_j)), so the coin sequence consumed while
+    comparing models m and j depends neither on which other pairs were
+    evaluated, in what order, nor on the models' column positions.
     """
 
     def __init__(self, seed: int, tag: int = 0):
         self.seed = int(seed)
         self.tag = int(tag)
 
-    def pair(self, m: int, j: int) -> np.random.Generator:
-        return keyed_stream(self.seed, self.tag, m, j)
+    def pair(self, id_m: str, id_j: str) -> np.random.Generator:
+        return keyed_stream(self.seed, self.tag, model_key(id_m), model_key(id_j))

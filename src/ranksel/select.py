@@ -5,7 +5,11 @@ reference model m, an evidence function returns centered contrasts ``mu``
 against the competitors (positive favors m) with their per-observation
 scores ``psi``, or decides m's p-value outright. One loop,
 ``_select_loop``, bootstraps the minimum of ``mu`` with shared Gaussian
-multipliers and keeps m when its p-value reaches alpha:
+multipliers and keeps m when its p-value reaches alpha. The loop draws one
+multiplier block per call, keyed by (seed, method tag), and every
+reference model's bootstrap reuses it; tie coins are keyed by model ids.
+Reordering a panel's columns therefore reorders the results and changes
+nothing else:
 
 * ``rsr_from_panel``: generalized rank-sum pairs; optional screening drops
   competitors that m already beats overwhelmingly (all dropped: p = 1).
@@ -164,6 +168,9 @@ def _select_loop(panel: LossPanel, config: SelectionConfig, method: str,
     p_vals = np.zeros(panel.n_models)
     screened_out: dict[int, tuple[int, ...]] = {}
     diagnostics: dict[int, dict] = {}
+    # One config for every reference: its multiplier block is drawn at most
+    # once per call and freed with it.
+    boot = BootstrapConfig(B=config.B, seed=subseed(config.seed, boot_tag))
     for m in range(panel.n_models):
         ev = evidence(m)
         if ev.dropped is not None:
@@ -172,7 +179,6 @@ def _select_loop(panel: LossPanel, config: SelectionConfig, method: str,
             p_vals[m], t_obs = ev.decided
             diagnostics[m] = {"t_obs": t_obs, "n_cols": 0}
             continue
-        boot = BootstrapConfig(B=config.B, seed=subseed(config.seed, boot_tag, m))
         result = run_min_bootstrap(ev.mu, ev.psi, boot)
         p_vals[m] = result.p_value
         diagnostics[m] = {"t_obs": result.t_obs, "n_cols": ev.mu.size}
@@ -197,6 +203,7 @@ def _rsr_evidence(panel: LossPanel, config: SelectionConfig, ties: TieStreams,
 
 def _pcv_evidence(panel: LossPanel, ties: TieStreams, m: int) -> _Evidence:
     competitors = [j for j in range(panel.n_models) if j != m]
+    ids = panel.model_ids
     ind = np.empty((panel.n, len(competitors)))
     a = panel.column(m)
     for idx, j in enumerate(competitors):
@@ -204,7 +211,7 @@ def _pcv_evidence(panel: LossPanel, ties: TieStreams, m: int) -> _Evidence:
         wins = (a < b).astype(float)
         tied = np.nonzero(a == b)[0]
         if tied.size:
-            wins[tied] = ties.pair(m, j).random(tied.size) < 0.5
+            wins[tied] = ties.pair(ids[m], ids[j]).random(tied.size) < 0.5
         ind[:, idx] = wins
     return _Evidence(ind.mean(axis=0) - 0.5, ind - ind.mean(axis=0))
 

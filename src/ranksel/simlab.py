@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .models import (Dataset, FittedLinear, LossFn, adaptive_tau, enumerate_subsets,
                      fit_huber_adaptive, fit_huber_lasso, huber_lasso_lipschitz,
                      huber_location, lambda_fold_correction, lambda_path, loss_eval,
@@ -90,6 +90,7 @@ class Case1Config:
             raise ConfigError("x_df must be positive")
         if self.reps < 1:
             raise ConfigError("reps must be >= 1")
+        _check_selection_settings(self, self.V)
 
 
 @dataclass(frozen=True)
@@ -120,6 +121,7 @@ class Case2Config:
             raise ConfigError("p must be at least 7 to hold the true support")
         if self.n < 2 * self.folds:
             raise ConfigError("n too small for the fold count")
+        _check_selection_settings(self, self.folds)
 
 
 @dataclass
@@ -205,6 +207,19 @@ def _selection_config(case_cfg, rep: int, tag: int, v_folds: int) -> SelectionCo
     return SelectionConfig(seed=subseed(case_cfg.seed, tag, rep),
                            alpha=case_cfg.alpha, B=case_cfg.B, V=v_folds,
                            screening_enabled=case_cfg.screening)
+
+
+def _check_selection_settings(case_cfg, v_folds: int) -> None:
+    """Reject alpha, B or the fold count by SelectionConfig's own bounds,
+    before any replicate draws data or fits a learner. Both studies use
+    V-fold panels, so sample splitting (V = 0) is refused too."""
+    if v_folds < 2:
+        raise ConfigError(f"the study needs at least 2 folds, got {v_folds}")
+    try:
+        SelectionConfig(seed=case_cfg.seed, alpha=case_cfg.alpha, B=case_cfg.B,
+                        V=v_folds)
+    except ContractError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _select(method: str, panel: LossPanel, sel_cfg: SelectionConfig):

@@ -114,7 +114,7 @@ class TestConfigFile:
                         params={"alpha": 0.1, "B": 500})
         assert cfg.to_dict() == {"command": "select", "seed": 7, "data_path": "d.csv",
                                  "response": "y", "learners": ["ols"],
-                                 "losses_path": "", "case": "",
+                                 "losses_path": "",
                                  "params": {"alpha": 0.1, "B": 500}}
 
 
@@ -128,10 +128,11 @@ class TestCliSelect:
         report = json.loads((out / "report.json").read_text())
         assert report["config"]["seed"] == 11
         assert set(report["payload"]["confidence_set"]["model_ids"]) == {"ols", "huber"}
-        # the config echo holds exactly the output-determining fields:
-        # no output path, no worker count
+        # the report holds exactly the output-determining fields: no output
+        # path, no worker count, no always-empty placeholders
+        assert set(report) == {"version", "config", "payload"}
         assert set(report["config"]) == {"command", "seed", "data_path", "response",
-                                         "learners", "losses_path", "case", "params"}
+                                         "learners", "losses_path", "params"}
         assert str(out).encode() not in (out / "report.json").read_bytes()
         pv = (out / "pvalues.csv").read_text().splitlines()
         assert pv[0] == "model_id,p_value,selected"
@@ -224,8 +225,10 @@ INVALID_SELECTION_FLAGS = [
     (command, flags)
     for command in ("select", "panel")
     for flags in (["--alpha", "1.5"], ["--alpha-screen", "0"], ["--s=-1"],
-                  ["--B", "50"], ["--folds", "1"])
-    if not (command == "panel" and flags[0] == "--folds")   # panel has no folds
+                  ["--B", "50"], ["--folds", "1"], ["--tau=-1"], ["--tau=0"],
+                  ["--tau=inf"], ["--tau=nan"])
+    # panel has neither folds nor a loss to tune
+    if not (command == "panel" and flags[0].startswith(("--folds", "--tau")))
 ]
 
 
@@ -307,6 +310,26 @@ class TestCliSimulate:
         for method in ("rsr", "cv"):
             for key in ("nonzeros", "support_rate", "oracle_rate", "cv_error"):
                 assert key in agg["metrics"][method]
+
+    @pytest.mark.parametrize("case", ("case1", "case2"))
+    @pytest.mark.parametrize("setting", ("B=50", "alpha=1.5", "alpha=0"))
+    def test_bad_selection_setting_exit_2_before_any_replicate(self, case, setting,
+                                                               tmp_path, capsys,
+                                                               monkeypatch):
+        import ranksel.simlab as simlab_mod
+
+        def no_replicate(config, rep):
+            raise AssertionError("a replicate ran before the config was checked")
+
+        monkeypatch.setattr(simlab_mod, f"{case}_replicate", no_replicate)
+        body = ("n = 40\nx_df = 3\nreps = 1\nseed = 9\n" if case == "case1" else
+                "n = 200\np = 200\nnoise_df = 3\nrho = 0.25\nreps = 1\nseed = 9\n")
+        out = tmp_path / "sim"
+        rc = main(["simulate", case, "--config", str(self._cfg(tmp_path, body)),
+                   "--out", str(out), "--set", setting])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("ranksel: ")
+        assert not (out / "aggregate.json").exists()
 
     def test_threads_do_not_change_aggregate_bytes(self, tmp_path):
         cfg = self._cfg(tmp_path, "n = 40\nx_df = 3\nreps = 3\nseed = 5\n")

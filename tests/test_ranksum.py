@@ -166,21 +166,23 @@ class TestPairStats:
         rng = np.random.default_rng(33)
         panel = _toy_panel(rng, n=20, m=3, integer=True)
         m = 1
+        ids = panel.model_ids
         stats = pair_stats(panel, m, ties=TieStreams(77))
         for idx, j in enumerate(stats.competitors):
             oracle = brute_ranksum(panel.column(m), panel.column(int(j)),
-                                   rng=TieStreams(77).pair(m, int(j)))
+                                   rng=TieStreams(77).pair(ids[m], ids[j]))
             assert stats.u[idx] == oracle
 
     def test_psi_matches_bruteforce_projections(self):
         rng = np.random.default_rng(35)
         panel = _toy_panel(rng, n=16, m=3, integer=True)
         m, n = 0, panel.n
+        ids = panel.model_ids
         for mode in ("row_only", "symmetrized"):
             stats = pair_stats(panel, m, projection=mode, ties=TieStreams(5))
             for idx, j in enumerate(stats.competitors):
                 row, col = brute_pair_sums(panel.column(m), panel.column(int(j)),
-                                           rng=TieStreams(5).pair(m, int(j)))
+                                           rng=TieStreams(5).pair(ids[m], ids[j]))
                 mu = row.sum() / n**2
                 if mode == "row_only":
                     expect = row / n - mu
@@ -271,6 +273,7 @@ def _oracle_se(a, b):
 def _oracle_pair_stats(panel, m, projection, ties):
     n = panel.n
     a = panel.column(m)
+    ids = panel.model_ids
     competitors = [j for j in range(panel.n_models) if j != m]
     symmetrized = projection == "symmetrized"
     u = np.empty(len(competitors))
@@ -278,7 +281,7 @@ def _oracle_pair_stats(panel, m, projection, ties):
     psi = np.empty((n, len(competitors)))
     for idx, j in enumerate(competitors):
         b = panel.column(j)
-        row, col = _oracle_win_counts(a, b, ties.pair(m, j), symmetrized)
+        row, col = _oracle_win_counts(a, b, ties.pair(ids[m], ids[j]), symmetrized)
         u_j = row.sum() / (n * n)
         mu_j = u_j - 0.5
         if symmetrized:
@@ -365,9 +368,9 @@ class _CountingTieStreams(TieStreams):
         self.pairs = []
         self.coins = 0
 
-    def pair(self, m, j):
-        self.pairs.append((m, j))
-        return _CountingGenerator(super().pair(m, j), self)
+    def pair(self, id_m, id_j):
+        self.pairs.append((id_m, id_j))
+        return _CountingGenerator(super().pair(id_m, id_j), self)
 
 
 class TestTieStreamLaziness:
@@ -396,7 +399,7 @@ class TestTieStreamLaziness:
                 for j in range(panel.n_models):
                     tied = int((losses[:, m][:, None] == losses[:, j][None, :]).sum())
                     if j != m and tied:
-                        expected_pairs.append((m, j))
+                        expected_pairs.append((panel.model_ids[m], panel.model_ids[j]))
                         expected_coins += tied
         assert ties.pairs == expected_pairs
         assert len(expected_pairs) == 6

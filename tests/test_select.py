@@ -13,10 +13,10 @@ from ranksel import (Candidate, ContractError, Dataset, LossFn, LossPanel,
                      make_folds, make_split, panel_from_folds,
                      TieStreams, pair_stats, pcv_select, rsr_from_panel, rsr_split,
                      rsr_vfold, screen)
-from ranksel import select
+from ranksel import bootstrap, select
 from ranksel.errors import LearnerError
 from ranksel.ranksum import PSI_CENTERING_TOL
-from ranksel.rng import subseed
+from ranksel.rng import model_key, subseed
 from ranksel.select import TAG_CVC_BOOT, TAG_PCV_BOOT, TAG_RSR_BOOT, TAG_RSR_TIES
 
 
@@ -275,34 +275,68 @@ class TestSelectionLoop:
         panel = _panel(_loop_panels()[name])
         n_models = panel.n_models
         cfg = SelectionConfig(seed=23)
-        cols_by_seed = {}
+        calls = []
         real = select.run_min_bootstrap
 
         def recording(mu, psi, boot):
-            cols_by_seed[boot.seed] = psi.shape[1]
+            calls.append((boot.seed, psi.shape[1], math.sqrt(psi.shape[0]) * mu.min()))
             return real(mu, psi, boot)
 
         with mock.patch.object(select, "run_min_bootstrap", recording):
             cs = method(panel, cfg)
         decided = self.DECIDED[(method, name)]
+        # The loop visits references in index order and bootstraps every
+        # undecided one, so the calls belong to those references in turn;
+        # each call's own t_obs confirms which reference made it.
+        bootstrapped = [m for m in range(n_models) if m not in decided]
+        assert len(calls) == len(bootstrapped)
+        cols_by_ref = {m: cols for m, (_, cols, _) in zip(bootstrapped, calls)}
+        t_obs_by_ref = {m: t_obs for m, (_, _, t_obs) in zip(bootstrapped, calls)}
+        # one seed contract: every call shares the method's bootstrap seed
+        assert all(seed == subseed(cfg.seed, BOOT_TAGS[method]) for seed, _, _ in calls)
         assert sorted(cs.diagnostics) == list(range(n_models))
         for m, diag in cs.diagnostics.items():
-            seed = subseed(cfg.seed, BOOT_TAGS[method], m)
             if m in decided:
-                assert seed not in cols_by_seed
+                assert m not in cols_by_ref
                 assert diag == {"t_obs": decided[m], "n_cols": 0}
                 assert cs.p_values[m] == (1.0 if decided[m] > 0 else 0.0)
             else:
-                assert diag["n_cols"] == cols_by_seed[seed] > 0
+                assert diag["n_cols"] == cols_by_ref[m] > 0
+                assert diag["t_obs"] == t_obs_by_ref[m]
                 assert math.isfinite(diag["t_obs"])
-        assert len(cols_by_seed) == n_models - len(decided)
-        assert cs.bootstrap_columns == sum(cols_by_seed.values())
+        assert len(cols_by_ref) == n_models - len(decided)
+        assert cs.bootstrap_columns == sum(cols_by_ref.values())
         if method is rsr_from_panel:
             assert sorted(cs.screened_out) == list(range(n_models))
             for m, diag in cs.diagnostics.items():
                 assert diag["n_cols"] + len(cs.screened_out[m]) == n_models - 1
         else:
             assert cs.screened_out == {}
+
+    @pytest.mark.parametrize("method,name,draws",
+                             [(f, "dominant", 1) for f in BOOT_TAGS]
+                             + [(cvc_style_select, "identical", 0)],
+                             ids=[f"{f.__name__}-dominant" for f in BOOT_TAGS]
+                             + ["cvc_style_select-identical"])
+    def test_one_multiplier_block_per_selection_call(self, method, name, draws):
+        # One block per call, shared by every reference (none when every
+        # reference is decided), and drawn again by a second identical call:
+        # nothing is cached across calls.
+        panel = _panel(_loop_panels()[name])
+        cfg = SelectionConfig(seed=29)
+        seeds = []
+        real = bootstrap.multiplier_matrix
+
+        def counting(seed, b_draws, n):
+            seeds.append(seed)
+            return real(seed, b_draws, n)
+
+        with mock.patch.object(bootstrap, "multiplier_matrix", counting):
+            first = method(panel, cfg)
+            assert seeds == [subseed(cfg.seed, BOOT_TAGS[method])] * draws
+            second = method(panel, cfg)
+        assert seeds == [subseed(cfg.seed, BOOT_TAGS[method])] * (2 * draws)
+        assert first.to_dict() == second.to_dict()
 
     @settings(max_examples=40, deadline=None)
     @given(panel=loss_panels(), seed=st.integers(0, 2**32 - 1),
@@ -334,6 +368,52 @@ class TestSelectionLoop:
         cfg = SelectionConfig(seed=seed)
         assert rsr_from_panel(mapped, cfg).to_dict() == rsr_from_panel(panel, cfg).to_dict()
         assert pcv_select(mapped, cfg).to_dict() == pcv_select(panel, cfg).to_dict()
+
+
+def _order_panels():
+    rng = np.random.default_rng(27)
+    n = 300
+    shared = rng.standard_cauchy(n)[:, None]
+    scale = np.array([0.5, 0.6, 0.9, 1.5, 2.5, 4.0])
+    tie_free = np.abs(0.5 * shared + scale * rng.standard_cauchy((n, scale.size)))
+    assert np.unique(tie_free).size == tie_free.size
+    win_rate = np.array([0.3, 0.35, 0.4, 0.45, 0.5])
+    binary = (rng.random((n, win_rate.size)) >= win_rate).astype(float)
+    return {"tie_free": tie_free, "binary": binary}
+
+
+class TestColumnOrder:
+    """Tie coins are keyed by model id and the multipliers by method, so
+    reordering a panel's columns reorders every result and nothing else."""
+
+    @pytest.mark.parametrize("projection", ("row_only", "symmetrized"))
+    @pytest.mark.parametrize("name", ("tie_free", "binary"))
+    @pytest.mark.parametrize("method", list(BOOT_TAGS), ids=lambda f: f.__name__)
+    def test_permuting_columns_permutes_results(self, method, name, projection):
+        losses = _order_panels()[name]
+        n_models = losses.shape[1]
+        ids = tuple(f"model_{j}" for j in range(n_models))
+        cfg = SelectionConfig(seed=37, projection=projection)
+        base = method(_panel(losses, ids), cfg)
+        if method is rsr_from_panel:
+            assert any(base.screened_out.values())    # screening is exercised
+        for perm in (np.arange(n_models)[::-1], np.roll(np.arange(n_models), 2)):
+            # column i of the permuted panel is column perm[i] of the base
+            # panel; base column j moves to position pos[j]
+            pos = np.argsort(perm)
+            cs = method(_panel(losses[:, perm], tuple(ids[j] for j in perm)), cfg)
+            np.testing.assert_array_equal(cs.p_values, base.p_values[perm])
+            assert sorted(cs.selected_ids) == sorted(base.selected_ids)
+            assert cs.diagnostics == {i: base.diagnostics[perm[i]]
+                                      for i in range(n_models)}
+            assert cs.screened_out == {
+                int(pos[m]): tuple(sorted(int(pos[j]) for j in dropped))
+                for m, dropped in base.screened_out.items()}
+
+    def test_model_key_is_a_stable_digest(self):
+        # the key path must not depend on the interpreter's salted hash()
+        assert model_key("model_a") == 0x9954552065b8b8b5
+        assert model_key("model_a") != model_key("model_b")
 
 
 class TestSplitsAndFolds:

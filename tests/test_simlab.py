@@ -112,6 +112,12 @@ class TestCase1:
         with pytest.raises(ConfigError):
             Case1Config(n=10, x_df=3, seed=0)
 
+    @pytest.mark.parametrize("bad", [dict(B=99), dict(alpha=0.0), dict(alpha=1.5),
+                                     dict(V=0), dict(V=1)])
+    def test_bad_selection_settings_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            Case1Config(n=40, x_df=3, seed=0, **bad)
+
 
 class TestCase2:
     @staticmethod
@@ -154,3 +160,9 @@ class TestCase2:
     def test_bad_rho_rejected(self):
         with pytest.raises(ConfigError):
             self._small_cfg(rho=1.5)
+
+    @pytest.mark.parametrize("bad", [dict(B=99), dict(alpha=0.0), dict(alpha=1.5),
+                                     dict(folds=0), dict(folds=1)])
+    def test_bad_selection_settings_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            self._small_cfg(**bad)
