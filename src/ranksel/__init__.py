@@ -4,17 +4,16 @@ from .bootstrap import (BootstrapConfig, BootstrapResult, multiplier_min_bootstr
                         normal_quantile, p_value, run_min_bootstrap)
 from .errors import (ConfigError, ContractError, DataError, LearnerError,
                      NumericalError, RankselError)
-from .models import (Dataset, FittedLinear, LambdaPath, LossFn, adaptive_tau,
-                     enumerate_subsets, fit_huber, fit_huber_adaptive,
-                     fit_huber_lasso, fit_ols, huber_location, lambda_fold_correction,
-                     lambda_path, loss_eval, mad_scale)
+from .models import (Dataset, FittedLinear, LossFn, adaptive_tau, enumerate_subsets,
+                     fit_huber, fit_huber_adaptive, fit_huber_lasso, fit_ols,
+                     huber_location, lambda_fold_correction, lambda_path, loss_eval,
+                     mad_scale)
 from .ranksum import LossPanel, PairStats, pair_stats, ranksum_u, se_ranksum
 from .rng import TieStreams, keyed_stream, multiplier_matrix, subseed
 from .select import (Candidate, ConfidenceSet, SelectionConfig, cv_select,
                      cvc_style_select, make_folds, make_split, panel_from_folds,
                      pcv_select, rsr_from_panel, rsr_split, rsr_vfold, screen)
 from .simlab import (AggregateReport, Case1Config, Case2Config, ar1_design,
-                     run_case1, run_case2, sample_ar1_gaussian, sample_student_t,
-                     subset_candidates)
+                     run_case1, run_case2, sample_student_t, subset_candidates)
 
 __version__ = "0.1.0"

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
 
@@ -114,48 +115,9 @@ def run_min_bootstrap(mu, psi, config: BootstrapConfig) -> BootstrapResult:
     return BootstrapResult(t_obs=t_obs, draws=draws, p_value=p_value(t_obs, draws))
 
 
-# Rational approximation of the standard normal inverse CDF, refined by one
-# Newton step against the erfc-based CDF. Absolute error stays below 1e-8
-# across (1e-12, 1 - 1e-12).
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
-
-
-def _normal_cdf(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
-def _normal_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
 def normal_quantile(q: float) -> float:
     """Inverse standard normal CDF on (0, 1)."""
     q = float(q)
     if not 0.0 < q < 1.0:
         raise ContractError(f"quantile level must be in (0, 1), got {q}")
-    if q < _P_LOW:
-        z = math.sqrt(-2.0 * math.log(q))
-        x = ((((((_C[0] * z + _C[1]) * z + _C[2]) * z + _C[3]) * z + _C[4]) * z + _C[5])
-             / ((((_D[0] * z + _D[1]) * z + _D[2]) * z + _D[3]) * z + 1.0))
-    elif q <= 1.0 - _P_LOW:
-        z = q - 0.5
-        r = z * z
-        x = ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * z
-             / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
-    else:
-        z = math.sqrt(-2.0 * math.log(1.0 - q))
-        x = -((((((_C[0] * z + _C[1]) * z + _C[2]) * z + _C[3]) * z + _C[4]) * z + _C[5])
-              / ((((_D[0] * z + _D[1]) * z + _D[2]) * z + _D[3]) * z + 1.0))
-    # One Newton refinement against the erfc-based CDF.
-    pdf = _normal_pdf(x)
-    if pdf > 0.0:
-        x -= (_normal_cdf(x) - q) / pdf
-    return x
+    return NormalDist().inv_cdf(q)

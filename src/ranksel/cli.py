@@ -38,7 +38,7 @@ CASE2_SUPPORTED_DIMS = ((200, 200), (400, 2000))
 def _learner_huber_lasso(data: Dataset):
     tau = adaptive_tau(data.n, data.d, robust_scale(data.y))
     path = lambda_path(data, k_path=10, tau=tau)
-    lam = float(path.values[len(path) // 2])
+    lam = float(path[path.size // 2])
     return fit_huber_lasso(data, lam=lam, tau=tau)
 
 
@@ -111,8 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", required=True)
     p_sim.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config entry (repeatable)")
-    p_sim.add_argument("--threads", type=int, default=None,
-                       help="override the config thread count")
     p_sim.set_defaults(func=cmd_simulate)
     return parser
 
@@ -197,39 +195,38 @@ def cmd_panel(args) -> int:
     return 0
 
 
-def _coerce(raw: str, target_type):
-    if target_type is bool:
-        low = raw.lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"expected a boolean, got {raw!r}")
-    if target_type is tuple:
-        return tuple(v.strip() for v in raw.split(",") if v.strip())
-    return target_type(raw)
+def _parse_bool(raw: str) -> bool:
+    low = raw.lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+# Config-file value parsers, keyed by the case config field's annotation.
+_FIELD_PARSERS = {
+    "int": int,
+    "float": float,
+    "bool": _parse_bool,
+    "tuple[str, ...]": lambda raw: tuple(v.strip() for v in raw.split(",")
+                                         if v.strip()),
+}
 
 
 def _case_config(case: str, entries: dict[str, str]):
     cls = Case1Config if case == "case1" else Case2Config
-    spec = {f.name: f for f in dataclass_fields(cls)}
+    parsers = {f.name: _FIELD_PARSERS[f.type] for f in dataclass_fields(cls)}
     kwargs = {}
     for key, raw in entries.items():
-        if key not in spec:
+        if key not in parsers:
             raise ConfigError(
                 f"unknown config key {key!r} for {case}; "
-                f"valid keys: {', '.join(sorted(spec))}")
-        ftype = spec[key].type
-        if key == "methods":
-            kwargs[key] = _coerce(raw, tuple)
-        elif ftype in ("int", int):
-            kwargs[key] = _coerce(raw, int)
-        elif ftype in ("float", float):
-            kwargs[key] = _coerce(raw, float)
-        elif ftype in ("bool", bool):
-            kwargs[key] = _coerce(raw, bool)
-        else:
-            kwargs[key] = raw
+                f"valid keys: {', '.join(sorted(parsers))}")
+        try:
+            kwargs[key] = parsers[key](raw)
+        except ValueError as exc:
+            raise ConfigError(f"config key {key!r}: {exc}") from None
     if "seed" not in kwargs:
         raise ConfigError("config must set an explicit seed")
     try:
@@ -246,8 +243,6 @@ def cmd_simulate(args) -> int:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         entries[key.strip()] = value.strip()
-    if args.threads is not None:
-        entries["threads"] = str(args.threads)
     config = _case_config(args.case, entries)
     if args.case == "case2":
         if (config.n, config.p) not in CASE2_SUPPORTED_DIMS:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -45,7 +46,7 @@ def _parse_cell(raw: str, line_no: int, col_name: str) -> float:
         raise DataError(
             f"line {line_no}: column '{col_name}' is not numeric ({raw!r})"
         ) from None
-    if not np.isfinite(val):
+    if not math.isfinite(val):
         raise DataError(f"line {line_no}: column '{col_name}' is not finite ({raw!r})")
     return val
 

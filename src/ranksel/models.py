@@ -23,6 +23,9 @@ MAD_SCALE = 1.4826
 
 MAX_SUBSET_DIM = 20
 
+# The smallest penalty on a lambda path, as a share of lambda_max.
+LAMBDA_MIN_RATIO = 0.01
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -126,9 +129,9 @@ def robust_scale(values) -> float:
     return scale
 
 
-def adaptive_tau(n: int, d: int, scale: float, c: float = HUBER_C) -> float:
-    """Sample-size-aware Huber knee: c * scale * sqrt(n / (d + log n))."""
-    return c * scale * math.sqrt(n / (d + math.log(n)))
+def adaptive_tau(n: int, d: int, scale: float) -> float:
+    """Sample-size-aware Huber knee: HUBER_C * scale * sqrt(n / (d + log n))."""
+    return HUBER_C * scale * math.sqrt(n / (d + math.log(n)))
 
 
 def fit_ols(data: Dataset) -> FittedLinear:
@@ -335,29 +338,10 @@ def huber_lasso_lipschitz(data: Dataset) -> float:
     return _augmented_gram_norm(data.x) / data.n
 
 
-@dataclass(frozen=True)
-class LambdaPath:
-    """Strictly decreasing grid of positive l1 penalties."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size < 1:
-            raise ContractError("lambda path must be a nonempty vector")
-        if np.any(v <= 0) or not np.all(np.isfinite(v)):
-            raise ContractError("lambda path entries must be positive and finite")
-        if v.size > 1 and not np.all(np.diff(v) < 0):
-            raise ContractError("lambda path must be strictly decreasing")
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-def lambda_path(data: Dataset, k_path: int = 50, tau: float | None = None,
-                min_ratio: float = 0.01) -> LambdaPath:
-    """Log-spaced penalty grid from lambda_max down to min_ratio * lambda_max.
+def lambda_path(data: Dataset, k_path: int = 50,
+                tau: float | None = None) -> np.ndarray:
+    """Strictly decreasing log-spaced penalty grid from lambda_max down to
+    LAMBDA_MIN_RATIO * lambda_max.
 
     lambda_max is the largest coordinate of |(1/n) X^T psi_tau(y - b0)| at
     the intercept-only model, the smallest penalty whose solution is exactly
@@ -374,10 +358,9 @@ def lambda_path(data: Dataset, k_path: int = 50, tau: float | None = None,
     if lam_max <= 0:
         raise DataError("design carries no signal at the null model")
     if k_path == 1:
-        return LambdaPath(np.array([lam_max]))
-    grid = np.exp(np.linspace(math.log(lam_max), math.log(min_ratio * lam_max),
+        return np.array([lam_max])
+    return np.exp(np.linspace(math.log(lam_max), math.log(LAMBDA_MIN_RATIO * lam_max),
                               k_path))
-    return LambdaPath(grid)
 
 
 def lambda_fold_correction(lam: float, k_folds: int) -> float:

@@ -243,8 +243,7 @@ def se_ranksum(a, b) -> float:
 
 
 def pair_stats(panel: LossPanel, m: int, projection: str = "symmetrized",
-               ties: TieStreams | None = None,
-               competitors=None) -> PairStats:
+               ties: TieStreams | None = None) -> PairStats:
     """Rank-sum statistics of reference model m against every competitor.
 
     ``projection`` selects the bootstrap score construction:
@@ -259,7 +258,6 @@ def pair_stats(panel: LossPanel, m: int, projection: str = "symmetrized",
     Tie coins come from ``ties.pair(id_m, id_j)``, keyed by the two model
     ids, so each pair's stream is independent of evaluation order and of
     column positions; it is only requested for a pair with a tied cell.
-    ``competitors`` restricts the columns compared (default: all j != m).
     """
     if projection not in ("row_only", "symmetrized"):
         raise ContractError(f"unknown projection mode: {projection!r}")
@@ -270,15 +268,8 @@ def pair_stats(panel: LossPanel, m: int, projection: str = "symmetrized",
         raise ContractError(f"reference index {m} out of range")
     if ties is None:
         ties = TieStreams(0)
-    if competitors is None:
-        competitors = [j for j in range(panel.n_models) if j != m]
-    else:
-        competitors = [int(j) for j in competitors]
-        if any(j == m or not 0 <= j < panel.n_models for j in competitors):
-            raise ContractError("competitors must be valid indices distinct from m")
+    competitors = [j for j in range(panel.n_models) if j != m]
     p = len(competitors)
-    if p < 1:
-        raise ContractError("need at least one competitor")
 
     a_sorted, a_order = panel.sorted_column(m)
     ids = panel.model_ids

@@ -154,27 +154,18 @@ def sample_student_t(df: float, stream: np.random.Generator, size=None):
     return z / np.sqrt(w / df)
 
 
-def _ar1_recurse(z: np.ndarray, rho: float) -> np.ndarray:
-    x = np.empty_like(z)
-    x[..., 0] = z[..., 0]
-    s = math.sqrt(1.0 - rho * rho)
-    for j in range(1, z.shape[-1]):
-        x[..., j] = rho * x[..., j - 1] + s * z[..., j]
-    return x
-
-
-def sample_ar1_gaussian(p: int, rho: float, stream: np.random.Generator) -> np.ndarray:
-    """One N(0, Sigma) vector with Sigma_ij = rho^|i-j|, by AR(1) recursion."""
-    if not -1.0 < rho < 1.0:
-        raise ConfigError("rho must be in (-1, 1)")
-    return _ar1_recurse(stream.standard_normal(p), rho)
-
-
 def ar1_design(n: int, p: int, rho: float, stream: np.random.Generator) -> np.ndarray:
-    """n x p design with AR(1) rows."""
+    """n x p design whose rows are N(0, Sigma), Sigma_ij = rho^|i-j|, by AR(1)
+    recursion along the columns."""
     if not -1.0 < rho < 1.0:
         raise ConfigError("rho must be in (-1, 1)")
-    return _ar1_recurse(stream.standard_normal((n, p)), rho)
+    z = stream.standard_normal((n, p))
+    x = np.empty_like(z)
+    x[:, 0] = z[:, 0]
+    s = math.sqrt(1.0 - rho * rho)
+    for j in range(1, p):
+        x[:, j] = rho * x[:, j - 1] + s * z[:, j]
+    return x
 
 
 def _intercept_only_fitter(d: int):
@@ -302,10 +293,11 @@ def _run_replicates(worker, config, reps: int, threads: int) -> list[dict]:
 
 def run_case1(config: Case1Config) -> AggregateReport:
     rows = _run_replicates(case1_replicate, config, config.reps, config.threads)
-    n_pairs = 16 * 15
     for row in rows:
         if row["method"] == "rsr":
-            row["screening_reduced"] = bool(row["bootstrap_columns"] < n_pairs)
+            # Models that failed training are not in the replicate's panel.
+            m = 2 ** CASE1_D - row["n_failed"]
+            row["screening_reduced"] = bool(row["bootstrap_columns"] < m * (m - 1))
     spec = {
         "set_size": ("mean", "set_size"),
         "correct_rate": ("rate", "correct"),
@@ -335,7 +327,7 @@ def case2_replicate(config: Case2Config, rep: int) -> list[dict]:
 
     tau = adaptive_tau(n, p, robust_scale(y))
     path = lambda_path(data, k_path=config.k_path, tau=tau)
-    k = len(path)
+    k = path.size
 
     folds = make_folds(n, config.folds, subseed(config.seed, TAG_C2_FOLDS, rep))
     huber_losses = np.empty((n, k))
@@ -346,7 +338,7 @@ def case2_replicate(config: Case2Config, rep: int) -> list[dict]:
         train = Dataset(x=x[train_idx], y=y[train_idx])
         lip = huber_lasso_lipschitz(train)
         warm = None
-        for j, lam in enumerate(path.values):
+        for j, lam in enumerate(path):
             warm = fit_huber_lasso(train, lam=float(lam), tau=tau, init=warm, lip=lip)
             resid = y[fold] - warm.predict(x[fold])
             huber_losses[fold, j] = loss_eval(loss, resid)
@@ -368,8 +360,7 @@ def case2_replicate(config: Case2Config, rep: int) -> list[dict]:
         else:
             chosen = int(np.argmax(cs.p_values))
         if chosen not in refit_cache:
-            lam_corr = lambda_fold_correction(float(path.values[chosen]),
-                                              config.folds)
+            lam_corr = lambda_fold_correction(float(path[chosen]), config.folds)
             refit_cache[chosen] = fit_huber_lasso(data, lam=lam_corr, tau=tau,
                                                   lip=full_lip)
         refit = refit_cache[chosen]
@@ -378,7 +369,7 @@ def case2_replicate(config: Case2Config, rep: int) -> list[dict]:
             "rep": rep, "method": method,
             "set_size": cs.set_size,
             "chosen_index": int(chosen),
-            "chosen_lambda": float(path.values[chosen]),
+            "chosen_lambda": float(path[chosen]),
             "nonzeros": int(len(support)),
             "support_covered": bool(true_support <= support),
             "oracle": bool(true_support == support),

@@ -331,13 +331,36 @@ class TestCliSimulate:
         assert capsys.readouterr().err.startswith("ranksel: ")
         assert not (out / "aggregate.json").exists()
 
+    @pytest.mark.parametrize("case, entry, where", [
+        ("case1", "n=abc", "set"),
+        ("case1", "x_df=three", "file"),
+        ("case1", "reps=2.5", "set"),
+        ("case1", "screening=maybe", "set"),
+        ("case1", "seed=", "set"),
+        ("case2", "rho=high", "file"),
+    ])
+    def test_unparsable_value_exit_2(self, case, entry, where, tmp_path, capsys):
+        body = ("n = 40\nx_df = 3\nreps = 1\nseed = 9\n" if case == "case1" else
+                "n = 200\np = 200\nnoise_df = 3\nrho = 0.25\nreps = 1\nseed = 9\n")
+        if where == "file":
+            body += entry + "\n"
+        out = tmp_path / "sim"
+        argv = ["simulate", case, "--config", str(self._cfg(tmp_path, body)),
+                "--out", str(out)]
+        rc = main(argv + (["--set", entry] if where == "set" else []))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ranksel: ")
+        assert repr(entry.split("=")[0]) in err
+        assert not (out / "aggregate.json").exists()
+
     def test_threads_do_not_change_aggregate_bytes(self, tmp_path):
         cfg = self._cfg(tmp_path, "n = 40\nx_df = 3\nreps = 3\nseed = 5\n")
         outs = []
         for threads, name in ((1, "t1"), (2, "t2")):
             out = tmp_path / name
             rc = main(["simulate", "case1", "--config", str(cfg),
-                       "--out", str(out), "--threads", str(threads)])
+                       "--out", str(out), "--set", f"threads={threads}"])
             assert rc == 0
             outs.append((out / "aggregate.json").read_bytes())
         assert outs[0] == outs[1]

@@ -162,7 +162,7 @@ class TestHuberLasso:
         tau = 2.0
         # path computed with matching tau so the KKT bound is exact
         path = lambda_path(data, k_path=1, tau=tau)
-        fit = fit_huber_lasso(data, lam=float(path.values[0]), tau=tau)
+        fit = fit_huber_lasso(data, lam=float(path[0]), tau=tau)
         np.testing.assert_array_equal(fit.coef, 0.0)
         assert fit.intercept == pytest.approx(huber_location(data.y, tau), abs=1e-8)
 
@@ -197,8 +197,8 @@ class TestHuberLasso:
     def test_support_grows_from_empty(self):
         data = self._toy()
         path = lambda_path(data, k_path=10, tau=1.2)
-        top = fit_huber_lasso(data, lam=float(path.values[0]), tau=1.2)
-        bottom = fit_huber_lasso(data, lam=float(path.values[-1]), tau=1.2)
+        top = fit_huber_lasso(data, lam=float(path[0]), tau=1.2)
+        bottom = fit_huber_lasso(data, lam=float(path[-1]), tau=1.2)
         assert top.nonzero_count == 0
         assert bottom.nonzero_count >= top.nonzero_count
 
@@ -220,8 +220,8 @@ class TestLambdaPath:
         data = TestHuberLasso._toy()
         path = lambda_path(data, k_path=50)
         assert len(path) == 50
-        assert path.values[-1] / path.values[0] == pytest.approx(0.01, rel=1e-9)
-        assert np.all(np.diff(path.values) < 0)
+        assert path[-1] / path[0] == pytest.approx(0.01, rel=1e-9)
+        assert np.all(np.diff(path) < 0)
 
     def test_zero_design_rejected(self):
         with pytest.raises(DataError):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ranksel import (Case1Config, Case2Config, ConfigError, keyed_stream,
-                     run_case1, run_case2, sample_ar1_gaussian, sample_student_t,
+from ranksel import (Candidate, Case1Config, Case2Config, ConfigError, LearnerError,
+                     keyed_stream, run_case1, run_case2, sample_student_t,
                      subset_candidates)
 from ranksel.simlab import ar1_design, case1_replicate, case2_replicate
 
@@ -51,12 +51,13 @@ class TestAr1:
         assert c2 == pytest.approx(0.36, abs=0.03)
 
     def test_single_vector_shape(self):
-        v = sample_ar1_gaussian(12, 0.3, keyed_stream(9))
-        assert v.shape == (12,)
+        assert ar1_design(1, 12, 0.3, keyed_stream(9)).shape == (1, 12)
+        assert ar1_design(7, 12, 0.3, keyed_stream(9)).shape == (7, 12)
 
     def test_bad_rho(self):
-        with pytest.raises(ConfigError):
-            sample_ar1_gaussian(5, 1.0, keyed_stream(0))
+        for rho in (1.0, -1.0, 1.5):
+            with pytest.raises(ConfigError):
+                ar1_design(3, 5, rho, keyed_stream(0))
 
 
 class TestSubsetCandidates:
@@ -103,6 +104,23 @@ class TestCase1:
         assert {r["method"] for r in rows} == {"rsr", "cv"}
         rsr_row = next(r for r in rows if r["method"] == "rsr")
         assert rsr_row["bootstrap_columns"] <= 16 * 15
+
+    def test_failed_candidate_is_not_read_as_screening(self, monkeypatch):
+        # The full model fails to train, so each panel holds 15 models and
+        # RSR without screening bootstraps all 15 * 14 pairs.
+        import ranksel.simlab as simlab_mod
+
+        def refuse(x, y):
+            raise LearnerError("training refused")
+
+        cands = subset_candidates(4)
+        cands[-1] = Candidate(model_id=cands[-1].model_id, fit=refuse)
+        monkeypatch.setattr(simlab_mod, "subset_candidates", lambda d: cands)
+        report = run_case1(Case1Config(n=40, x_df=3, seed=1, reps=2, methods=("rsr",),
+                                       screening=False))
+        assert [(r["n_failed"], r["bootstrap_columns"], r["screening_reduced"])
+                for r in report.replicates] == [(1, 210, False)] * 2
+        assert report.metrics["rsr"]["screening_reduced_rate"]["mean"] == 0.0
 
     def test_bad_method_rejected(self):
         with pytest.raises(ConfigError):
