@@ -5,8 +5,9 @@
     ranksel panel    --losses panel.csv --alpha 0.1 --B 500 --seed 1 --out results/
     ranksel simulate case1|case2 --config run.cfg --out results/ [--set key=value]
 
-Exit codes: 0 success, 2 usage/config error, 3 data error, 4 numerical
-failure. Seeds are mandatory; there is no entropy default.
+Exit codes: 0 success, 2 usage/config error, 3 data error, 4 numerical or
+resource failure (including running out of memory). Seeds are mandatory;
+there is no entropy default.
 """
 
 from __future__ import annotations
@@ -276,6 +277,9 @@ def main(argv=None) -> int:
     except (NumericalError, LearnerError, np.linalg.LinAlgError,
             FloatingPointError) as exc:
         print(f"ranksel: numerical failure: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        print(f"ranksel: out of memory: {exc}", file=sys.stderr)
         return 4
 
 

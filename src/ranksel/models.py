@@ -115,10 +115,27 @@ def huber_score(r, tau: float):
     return np.clip(r, -tau, tau)
 
 
+def _median(v: np.ndarray) -> float:
+    """np.median of a float vector, without its per-call overhead: NaN if it
+    is empty or holds a NaN (partitioning sorts NaN last), else the same
+    order statistics and the same mean of the middle pair, whose sum starts
+    from +0.0 (so a zero median is +0.0)."""
+    if not v.size:
+        return math.nan
+    half = v.size // 2
+    odd = v.size % 2
+    part = np.partition(v, [half, -1] if odd else [half - 1, half, -1])
+    if part[-1] != part[-1]:
+        return math.nan
+    if odd:
+        return float(part[half]) + 0.0
+    return (float(part[half - 1] + part[half]) + 0.0) / 2
+
+
 def mad_scale(values) -> float:
     """Robust scale: median absolute deviation times 1.4826."""
     v = np.asarray(values, dtype=float)
-    return float(np.median(np.abs(v - np.median(v))) * MAD_SCALE)
+    return _median(np.abs(v - _median(v))) * MAD_SCALE
 
 
 def robust_scale(values) -> float:
@@ -149,12 +166,12 @@ def fit_ols(data: Dataset) -> FittedLinear:
 
 def huber_location(y, tau: float, max_iter: int = 100, tol: float = 1e-10) -> float:
     """Huber M-estimate of location by IRLS."""
+    if not tau > 0:
+        raise ContractError("tau must be positive")
     y = np.asarray(y, dtype=float)
-    loc = float(np.median(y))
+    loc = _median(y)
     for _ in range(max_iter):
-        r = y - loc
-        a = np.abs(r)
-        w = np.where(a <= tau, 1.0, np.divide(tau, a, out=np.ones_like(a), where=a > 0))
+        w = _huber_weights(y - loc, tau)
         new = float(np.sum(w * y) / np.sum(w))
         if abs(new - loc) <= tol * max(1.0, abs(loc)):
             return new
@@ -163,13 +180,9 @@ def huber_location(y, tau: float, max_iter: int = 100, tol: float = 1e-10) -> fl
 
 
 def _huber_weights(r, tau: float) -> np.ndarray:
-    a = np.abs(r)
-    w = np.ones_like(a)
-    big = a > tau
-    if tau <= 0:
-        return w
-    w[big] = tau / a[big]
-    return w
+    """IRLS weights psi(r) / r = min(1, tau / |r|) for tau > 0; exactly 1.0
+    where |r| <= tau, since tau / tau is."""
+    return tau / np.maximum(np.abs(r), tau)
 
 
 def _irls_huber(data: Dataset, tau0: float, adapt: bool,
@@ -178,20 +191,31 @@ def _irls_huber(data: Dataset, tau0: float, adapt: bool,
     if n <= d + 1:
         raise LearnerError(f"need n > d + 1, got n={n}, d={d}")
     design = np.column_stack([np.ones(n), data.x])
+    # One SVD per fit, design = U diag(s) Vt. Its rank, by matrix_rank's and
+    # lstsq(rcond=None)'s rule, is every weighted design's rank, since the
+    # weights are strictly positive. Each pass solves the weighted normal
+    # equations in the orthonormal basis U: U^T W U is as well conditioned as
+    # the weights, however collinear the design, and theta = Vt^T s^-1 phi.
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    rank = int(np.count_nonzero(s > s[0] * max(n, d + 1) * np.finfo(float).eps))
+    if rank < d + 1:
+        raise LearnerError(f"design is rank deficient (rank {rank} < {d + 1})")
+    basis_t = np.ascontiguousarray(u.T)
+    to_theta = vt.T / s
     theta = np.zeros(d + 1)
-    theta[0] = float(np.median(data.y))
+    theta[0] = _median(data.y)
     tau = tau0
     converged = False
     for _ in range(max_iter):
         r = data.y - design @ theta
         if adapt:
             tau = adaptive_tau(n, d, robust_scale(r))
-        w = _huber_weights(r, tau)
-        sw = np.sqrt(w)
-        new, _, rank, _ = np.linalg.lstsq(design * sw[:, None], data.y * sw,
-                                          rcond=None)
-        if rank < d + 1:
-            raise LearnerError(f"weighted design is rank deficient (rank {rank})")
+        weighted_t = basis_t * _huber_weights(r, tau)
+        try:
+            phi = np.linalg.solve(weighted_t @ u, weighted_t @ data.y)
+        except np.linalg.LinAlgError:
+            raise LearnerError("weighted Gram matrix is singular") from None
+        new = to_theta @ phi
         if np.linalg.norm(new - theta) <= tol * max(1.0, np.linalg.norm(theta)):
             theta = new
             converged = True

@@ -86,8 +86,8 @@ class Case1Config:
         object.__setattr__(self, "methods", _check_methods(self.methods))
         if self.n < 4 * self.V:
             raise ConfigError(f"n = {self.n} is too small for V = {self.V} folds")
-        if self.x_df <= 0:
-            raise ConfigError("x_df must be positive")
+        if not math.isfinite(self.x_df) or self.x_df <= 0:
+            raise ConfigError(f"x_df must be finite and positive, got {self.x_df}")
         if self.reps < 1:
             raise ConfigError("reps must be >= 1")
         _check_selection_settings(self, self.V)
@@ -115,8 +115,8 @@ class Case2Config:
         object.__setattr__(self, "methods", _check_methods(self.methods))
         if not -1.0 < self.rho < 1.0:
             raise ConfigError("rho must be in (-1, 1)")
-        if self.noise_df <= 0:
-            raise ConfigError("noise_df must be positive")
+        if not math.isfinite(self.noise_df) or self.noise_df <= 0:
+            raise ConfigError(f"noise_df must be finite and positive, got {self.noise_df}")
         if self.p < 7:
             raise ConfigError("p must be at least 7 to hold the true support")
         if self.n < 2 * self.folds:

@@ -33,24 +33,32 @@ def _ok(num, message):
 # ---------------------------------------------------------------------------
 # shared expensive runs (session-scoped, threads pinned for determinism)
 
+# tools/acceptance_hashes.py hashes these same configs
+def case1_config(n):
+    return Case1Config(n=n, x_df=3, seed=ACCEPT_SEED, reps=CASE1_REPS,
+                       alpha=0.1, threads=2)
+
+
+def case2_config():
+    return Case2Config(n=200, p=200, noise_df=3, rho=0.25, seed=ACCEPT_SEED,
+                       reps=CASE2_REPS, alpha=0.1, threads=2)
+
+
 @pytest.fixture(scope="session")
 def case1_at_320():
-    cfg = Case1Config(n=320, x_df=3, seed=ACCEPT_SEED, reps=CASE1_REPS,
-                      alpha=0.1, threads=2)
+    cfg = case1_config(320)
     return cfg, run_case1(cfg)
 
 
 @pytest.fixture(scope="session")
 def case1_at_40():
-    cfg = Case1Config(n=40, x_df=3, seed=ACCEPT_SEED, reps=CASE1_REPS,
-                      alpha=0.1, threads=2)
+    cfg = case1_config(40)
     return cfg, run_case1(cfg)
 
 
 @pytest.fixture(scope="session")
 def case2_main():
-    cfg = Case2Config(n=200, p=200, noise_df=3, rho=0.25, seed=ACCEPT_SEED,
-                      reps=CASE2_REPS, alpha=0.1, threads=2)
+    cfg = case2_config()
     return cfg, run_case2(cfg)
 
 

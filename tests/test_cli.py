@@ -311,11 +311,8 @@ class TestCliSimulate:
             for key in ("nonzeros", "support_rate", "oracle_rate", "cv_error"):
                 assert key in agg["metrics"][method]
 
-    @pytest.mark.parametrize("case", ("case1", "case2"))
-    @pytest.mark.parametrize("setting", ("B=50", "alpha=1.5", "alpha=0"))
-    def test_bad_selection_setting_exit_2_before_any_replicate(self, case, setting,
-                                                               tmp_path, capsys,
-                                                               monkeypatch):
+    def _assert_rejected_before_any_replicate(self, case, setting, tmp_path, capsys,
+                                              monkeypatch):
         import ranksel.simlab as simlab_mod
 
         def no_replicate(config, rep):
@@ -329,6 +326,37 @@ class TestCliSimulate:
                    "--out", str(out), "--set", setting])
         assert rc == 2
         assert capsys.readouterr().err.startswith("ranksel: ")
+        assert not (out / "aggregate.json").exists()
+
+    @pytest.mark.parametrize("case", ("case1", "case2"))
+    @pytest.mark.parametrize("setting", ("B=50", "alpha=1.5", "alpha=0"))
+    def test_bad_selection_setting_exit_2_before_any_replicate(self, case, setting,
+                                                               tmp_path, capsys,
+                                                               monkeypatch):
+        self._assert_rejected_before_any_replicate(case, setting, tmp_path, capsys,
+                                                   monkeypatch)
+
+    @pytest.mark.parametrize("case, setting", [
+        ("case1", "x_df=nan"), ("case1", "x_df=inf"), ("case2", "noise_df=nan"),
+    ])
+    def test_nonfinite_tail_index_exit_2_before_any_replicate(self, case, setting,
+                                                              tmp_path, capsys,
+                                                              monkeypatch):
+        self._assert_rejected_before_any_replicate(case, setting, tmp_path, capsys,
+                                                   monkeypatch)
+
+    def test_out_of_memory_exit_4(self, tmp_path, capsys, monkeypatch):
+        import ranksel.cli as cli_mod
+
+        def no_memory(config):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(cli_mod, "run_case1", no_memory)
+        cfg = self._cfg(tmp_path, "n = 40\nx_df = 3\nreps = 1\nseed = 9\n")
+        out = tmp_path / "sim"
+        rc = main(["simulate", "case1", "--config", str(cfg), "--out", str(out)])
+        assert rc == 4
+        assert capsys.readouterr().err.startswith("ranksel: out of memory: Unable")
         assert not (out / "aggregate.json").exists()
 
     @pytest.mark.parametrize("case, entry, where", [

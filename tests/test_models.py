@@ -6,9 +6,47 @@ import pytest
 from ranksel import (ContractError, Dataset, DataError, LearnerError, LossFn,
                      adaptive_tau, enumerate_subsets, fit_huber, fit_huber_adaptive,
                      fit_huber_lasso, fit_ols, huber_location, lambda_fold_correction,
-                     lambda_path, loss_eval, mad_scale)
-from ranksel.models import (huber_lasso_lipschitz, huber_score, robust_scale,
-                             subset_mask_id)
+                     lambda_path, loss_eval, mad_scale, make_folds, panel_from_folds)
+from ranksel import models
+from ranksel.models import (_huber_weights, _median, huber_lasso_lipschitz, huber_score,
+                             robust_scale, subset_mask_id)
+from ranksel.simlab import subset_candidates
+
+
+def _lstsq_irls(data, tau0, adapt, max_iter=200, tol=1e-8):
+    """Reference IRLS as the package ran it before the normal-equations
+    solver: np.median start, masked weights, one SVD lstsq per pass.
+    Returns (theta, converged, passes)."""
+    n, d = data.n, data.d
+    design = np.column_stack([np.ones(n), data.x])
+    theta = np.zeros(d + 1)
+    theta[0] = float(np.median(data.y))
+    tau = tau0
+    for passes in range(1, max_iter + 1):
+        r = data.y - design @ theta
+        if adapt:
+            scale = float(np.median(np.abs(r - np.median(r))) * 1.4826)
+            if scale <= 0:
+                scale = max(float(np.std(r)), 1e-12)
+            tau = adaptive_tau(n, d, scale)
+        a = np.abs(r)
+        w = np.ones_like(a)
+        big = a > tau
+        w[big] = tau / a[big]
+        sw = np.sqrt(w)
+        new, _, rank, _ = np.linalg.lstsq(design * sw[:, None], data.y * sw,
+                                          rcond=None)
+        assert rank == d + 1
+        if np.linalg.norm(new - theta) <= tol * max(1.0, np.linalg.norm(theta)):
+            return new, True, passes
+        theta = new
+    return theta, False, max_iter
+
+
+def _heavy_tailed(rng, n, d, df):
+    x = rng.standard_t(df, size=(n, d))
+    y = 0.5 + x @ np.linspace(1.0, -1.0, d) + rng.standard_t(df, size=n)
+    return Dataset(x=x, y=y)
 
 
 class TestLossEval:
@@ -137,6 +175,78 @@ class TestHuberAdaptive:
         assert np.abs(ols.coef - beta).max() > 100 * dirty_err
 
 
+class TestIrlsCore:
+    @pytest.mark.parametrize("df", [3, 1])
+    @pytest.mark.parametrize("n", [40, 256])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_lstsq_reference(self, monkeypatch, d, n, df):
+        data = _heavy_tailed(np.random.default_rng(100 * d + n + df), n, d, df)
+        passes = []
+        real_mad = models.mad_scale
+        monkeypatch.setattr(models, "mad_scale",
+                            lambda v: passes.append(1) or real_mad(v))
+        ref_adaptive = _lstsq_irls(data, 1.0, adapt=True)
+        for fit, (theta, converged, _) in (
+                (fit_huber_adaptive(data), ref_adaptive),
+                (fit_huber(data, tau=1.5), _lstsq_irls(data, 1.5, adapt=False))):
+            got = np.concatenate([[fit.intercept], fit.coef])
+            assert np.abs(got - theta).max() <= 1e-10 * max(1.0, np.abs(theta).max())
+            assert fit.meta["converged"] is converged
+        # one mad_scale call per adaptive pass, none for the fixed knee
+        assert len(passes) == ref_adaptive[2]
+
+    @pytest.mark.parametrize("spread", [1e-6, 1e-8, 1e-10])
+    def test_nearly_collinear_design_matches_lstsq_reference(self, spread):
+        # cond([1 X]) reaches 2e10; normal equations in the raw design's
+        # coordinates would square that past 1 / eps.
+        rng = np.random.default_rng(16)
+        z = rng.standard_normal(200)
+        x = np.column_stack([z, z + spread * rng.standard_normal(200)])
+        data = Dataset(x=x, y=1.0 + z + rng.standard_t(3, size=200))
+        fit = fit_huber_adaptive(data)
+        theta, converged, _ = _lstsq_irls(data, 1.0, adapt=True)
+        got = np.concatenate([[fit.intercept], fit.coef])
+        assert np.abs(got - theta).max() <= 1e-6 * np.abs(theta).max()
+        assert fit.meta["converged"] is converged
+
+    @pytest.mark.parametrize("learner", [fit_huber_adaptive,
+                                         lambda data: fit_huber(data, tau=1.0)])
+    @pytest.mark.parametrize("bad", ["duplicate", "constant"])
+    def test_rank_deficient_design_raises(self, learner, bad):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((50, 2))
+        x[:, 1] = x[:, 0] if bad == "duplicate" else 3.0
+        with pytest.raises(LearnerError, match="rank deficient"):
+            learner(Dataset(x=x, y=rng.standard_t(3, size=50)))
+
+    def test_singular_gram_raises_learner_error(self, monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        data = _heavy_tailed(np.random.default_rng(15), 50, 2, 3)
+        with pytest.raises(LearnerError, match="singular"):
+            fit_huber_adaptive(data)
+
+    def test_rank_deficient_candidate_dropped_alone(self):
+        rng = np.random.default_rng(12)
+        n = 60
+        x = rng.standard_normal((n, 2))
+        x[:, 1] = x[:, 0]   # only the subset holding both columns is singular
+        y = 1.0 + x[:, 0] + rng.standard_t(3, size=n)
+        panel, failed = panel_from_folds(subset_candidates(2), Dataset(x=x, y=y),
+                                         make_folds(n, 5, seed=3), LossFn("absolute"))
+        assert failed == ["m_11"]
+        assert panel.model_ids == ("m_00", "m_10", "m_01")
+
+    def test_max_iter_one_is_not_converged(self):
+        data = _heavy_tailed(np.random.default_rng(13), 100, 2, 3)
+        for fit in (fit_huber_adaptive(data, max_iter=1),
+                    fit_huber(data, tau=1.0, max_iter=1)):
+            assert fit.meta["converged"] is False
+            assert fit.meta["not_converged"] is True
+
+
 class TestHuberLocation:
     def test_symmetric_sample(self):
         y = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
@@ -145,6 +255,11 @@ class TestHuberLocation:
     def test_resists_outlier(self):
         y = np.array([0.9, 1.0, 1.1, 1.05, 0.95, 500.0])
         assert abs(huber_location(y, tau=0.5) - 1.0) < 0.25
+
+    def test_nonpositive_tau_rejected(self):
+        for tau in (0.0, -1.0, math.nan):
+            with pytest.raises(ContractError):
+                huber_location(np.array([1.0, 2.0, 3.0]), tau=tau)
 
 
 class TestHuberLasso:
@@ -267,7 +382,43 @@ class TestEnumerateSubsets:
         assert subset_mask_id((1, 2), 4) == "m_0110"
 
 
+def _median_cases():
+    rng = np.random.default_rng(14)
+    cases = [np.array([]), np.array([7.0]), np.array([1.0, 2.0]), np.full(6, -2.5),
+             np.full(7, 0.0), np.array([-0.0, -0.0]), np.array([-0.0, 1.0, -0.0]),
+             np.array([3.0, 1.0, 3.0, 3.0, 1.0, 2.0]), np.array([1e308, 1e308]),
+             np.array([1.0, np.nan, 2.0]), np.array([np.nan, 0.5, -1.0, 4.0]),
+             np.array([np.inf, -np.inf, 1.0])]
+    for n in (5, 40, 255, 256):
+        cases.append(rng.standard_t(3, size=n))
+        cases.append(rng.integers(0, 3, size=n).astype(float))   # heavy ties
+    return cases
+
+
 class TestHelpers:
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value",
+                                "ignore:Mean of empty slice")
+    @pytest.mark.parametrize("v", _median_cases())
+    def test_median_and_mad_match_np_median_bitwise(self, v):
+        ref_mad = float(np.median(np.abs(v - np.median(v))) * 1.4826)
+        for got, ref in ((_median(v), float(np.median(v))), (mad_scale(v), ref_mad)):
+            if math.isnan(ref):
+                assert math.isnan(got)
+            else:   # equal, down to the sign of a zero
+                assert got == ref and math.copysign(1.0, got) == math.copysign(1.0, ref)
+
+    def test_weights_match_masked_form(self):
+        tau = 0.75
+        r = np.array([0.0, -0.0, 0.3, -0.75, 0.75, np.nextafter(0.75, 1.0), -2.0,
+                      1e300, 5e-324])
+        a = np.abs(r)
+        ref = np.ones_like(a)
+        big = a > tau
+        ref[big] = tau / a[big]
+        got = _huber_weights(r, tau)
+        assert got.tobytes() == ref.tobytes()
+        assert got[4] == 1.0 and got[0] == 1.0
+
     def test_mad_scale_gaussian_consistent(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal(100_000)
