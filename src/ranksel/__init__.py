@@ -2,8 +2,7 @@
 
 from .bootstrap import (BootstrapConfig, BootstrapResult, multiplier_min_bootstrap,
                         normal_quantile, p_value, run_min_bootstrap)
-from .errors import (ConfigError, ContractError, DataError, LearnerError,
-                     NumericalError, RankselError)
+from .errors import ConfigError, ContractError, DataError, LearnerError, RankselError
 from .models import (Dataset, FittedLinear, LossFn, adaptive_tau, enumerate_subsets,
                      fit_huber, fit_huber_adaptive, fit_huber_lasso, fit_ols,
                      huber_location, lambda_fold_correction, lambda_path, loss_eval,
@@ -11,8 +10,8 @@ from .models import (Dataset, FittedLinear, LossFn, adaptive_tau, enumerate_subs
 from .ranksum import LossPanel, PairStats, pair_stats, ranksum_u, se_ranksum
 from .rng import TieStreams, keyed_stream, multiplier_matrix, subseed
 from .select import (Candidate, ConfidenceSet, SelectionConfig, cv_select,
-                     cvc_style_select, make_folds, make_split, panel_from_folds,
-                     pcv_select, rsr_from_panel, rsr_split, rsr_vfold, screen)
+                     cvc_style_select, make_folds, panel_from_folds, pcv_select,
+                     rsr_from_panel, rsr_split, rsr_vfold, screen)
 from .simlab import (AggregateReport, Case1Config, Case2Config, ar1_design,
                      run_case1, run_case2, sample_student_t, subset_candidates)
 

@@ -5,9 +5,9 @@
     ranksel panel    --losses panel.csv --alpha 0.1 --B 500 --seed 1 --out results/
     ranksel simulate case1|case2 --config run.cfg --out results/ [--set key=value]
 
-Exit codes: 0 success, 2 usage/config error, 3 data error, 4 numerical or
-resource failure (including running out of memory). Seeds are mandatory;
-there is no entropy default.
+Exit codes: 0 success, 2 usage/config error, 3 data error, 4 a learner or
+numerical failure (LearnerError, LinAlgError, FloatingPointError) or running
+out of memory. Seeds are mandatory; there is no entropy default.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (ConfigError, ContractError, DataError, LearnerError,
-                     NumericalError)
+from .errors import ConfigError, ContractError, DataError, LearnerError
 from .io import (ReportBundle, RunConfig, parse_config_file, read_loss_panel_csv,
                  read_xy_csv, write_plot_data, write_pvalues_csv,
                  write_replicates_csv)
@@ -128,11 +127,19 @@ def _selection_config(args) -> SelectionConfig:
         raise ConfigError(str(exc)) from None
 
 
-def _write_selection_outputs(bundle: ReportBundle, confidence_set, out_dir):
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    bundle.write_report(out)
-    write_pvalues_csv(out / "pvalues.csv", confidence_set)
+def _settings_echo(config: SelectionConfig) -> dict:
+    """The selection settings that report.json echoes, read back from the
+    validated config; `select` adds its fold count and loss."""
+    return {"alpha": config.alpha, "alpha_screen": config.alpha_screen,
+            "s": config.s, "B": config.B, "projection": config.projection,
+            "screening": config.screening_enabled}
+
+
+def _write_selection_outputs(run_cfg: RunConfig, confidence_set, out_dir):
+    bundle = ReportBundle(version=__version__, config=run_cfg,
+                          payload={"confidence_set": confidence_set.to_dict()})
+    bundle.write_report(out_dir)
+    write_pvalues_csv(Path(out_dir) / "pvalues.csv", confidence_set)
 
 
 def _loss_fn(args) -> LossFn | None:
@@ -160,20 +167,13 @@ def cmd_select(args) -> int:
         cs = rsr_split(candidates, data, config, loss)
     else:
         cs = rsr_vfold(candidates, data, config, loss)
-    run_cfg = RunConfig(command="select", seed=args.seed, data_path=args.data,
-                        response=args.response, learners=names,
-                        params={"alpha": args.alpha, "alpha_screen": args.alpha_screen,
-                                "s": args.s, "B": args.B, "folds": args.folds,
-                                "projection": args.projection,
-                                "screening": not args.no_screening,
-                                "loss": args.loss,
-                                "tau": float(loss.tau) if loss.tau else 0.0})
-    bundle = ReportBundle(version=__version__, config=run_cfg,
-                          payload={"confidence_set": cs.to_dict()},
-                          wall_time_s=time.perf_counter() - start)
-    _write_selection_outputs(bundle, cs, args.out)
+    params = {**_settings_echo(config), "folds": config.V, "loss": loss.kind,
+              "tau": float(loss.tau) if loss.tau else 0.0}
+    run_cfg = RunConfig(command="select", seed=config.seed, data_path=args.data,
+                        response=args.response, learners=names, params=params)
+    _write_selection_outputs(run_cfg, cs, args.out)
     print(f"selected {cs.set_size}/{len(cs.model_ids)} models: "
-          f"{', '.join(cs.selected_ids)} ({bundle.wall_time_s:.2f}s)")
+          f"{', '.join(cs.selected_ids)} ({time.perf_counter() - start:.2f}s)")
     return 0
 
 
@@ -182,17 +182,11 @@ def cmd_panel(args) -> int:
     config = _selection_config(args)
     panel = read_loss_panel_csv(args.losses)
     cs = rsr_from_panel(panel, config, method="rsr_panel")
-    run_cfg = RunConfig(command="panel", seed=args.seed, losses_path=args.losses,
-                        params={"alpha": args.alpha, "alpha_screen": args.alpha_screen,
-                                "s": args.s, "B": args.B,
-                                "projection": args.projection,
-                                "screening": not args.no_screening})
-    bundle = ReportBundle(version=__version__, config=run_cfg,
-                          payload={"confidence_set": cs.to_dict()},
-                          wall_time_s=time.perf_counter() - start)
-    _write_selection_outputs(bundle, cs, args.out)
+    run_cfg = RunConfig(command="panel", seed=config.seed, losses_path=args.losses,
+                        params=_settings_echo(config))
+    _write_selection_outputs(run_cfg, cs, args.out)
     print(f"selected {cs.set_size}/{len(cs.model_ids)} models "
-          f"({bundle.wall_time_s:.2f}s)")
+          f"({time.perf_counter() - start:.2f}s)")
     return 0
 
 
@@ -274,8 +268,7 @@ def main(argv=None) -> int:
     except (DataError, ContractError) as exc:
         print(f"ranksel: {exc}", file=sys.stderr)
         return 3
-    except (NumericalError, LearnerError, np.linalg.LinAlgError,
-            FloatingPointError) as exc:
+    except (LearnerError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"ranksel: numerical failure: {exc}", file=sys.stderr)
         return 4
     except MemoryError as exc:

@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
-NumericalError -> 4. Library code raises ContractError for violated call
-contracts (caller bugs) and DataError for rejected input values.
+The CLI maps these onto exit codes: ConfigError -> 2, DataError and
+ContractError -> 3, LearnerError -> 4 (as are numpy's LinAlgError,
+FloatingPointError and MemoryError). Library code raises ContractError for
+violated call contracts (caller bugs) and DataError for rejected input
+values.
 """
 
 
@@ -24,7 +26,3 @@ class ConfigError(RankselError, ValueError):
 
 class LearnerError(RankselError, RuntimeError):
     """A training procedure failed on its data (rank deficiency etc.)."""
-
-
-class NumericalError(RankselError, RuntimeError):
-    """An iterative routine lost its numerical guarantees."""

@@ -154,16 +154,14 @@ class RunConfig:
 
 @dataclass
 class ReportBundle:
-    """A run's outputs: config echo, payload, wall time.
+    """A run's report: version, config echo and payload, all deterministic.
 
-    Wall time is reported on the console only; serialized reports contain
-    just the deterministic fields.
+    Wall time is reported on the console only.
     """
 
     version: str
     config: RunConfig
     payload: dict
-    wall_time_s: float = 0.0
 
     def report_dict(self) -> dict:
         return {"version": self.version, "config": self.config.to_dict(),

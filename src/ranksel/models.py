@@ -288,11 +288,9 @@ def fit_huber_lasso(data: Dataset, lam: float, tau: float,
         b0 = huber_location(y, tau)
         beta = np.zeros(d)
 
-    # Huber curvature is at most 1, so the smooth part has Lipschitz
-    # constant <= largest eigenvalue of [1 X]^T [1 X] / n. Path runners
-    # pass it in to avoid recomputing per fit.
+    # Path runners pass the Lipschitz bound in to avoid recomputing per fit.
     if lip is None:
-        lip = _augmented_gram_norm(x) / n
+        lip = huber_lasso_lipschitz(data)
     step = 1.0 / max(lip, 1e-12)
 
     r = y - b0 - x @ beta
@@ -358,24 +356,24 @@ def _augmented_gram_norm(x: np.ndarray, iters: int = 60) -> float:
 
 
 def huber_lasso_lipschitz(data: Dataset) -> float:
-    """Step-size bound for fit_huber_lasso, reusable across a lambda path."""
+    """Step-size bound for fit_huber_lasso, reusable across a lambda path.
+
+    Huber curvature is at most 1, so the smooth part has Lipschitz constant
+    <= the largest eigenvalue of [1 X]^T [1 X] / n.
+    """
     return _augmented_gram_norm(data.x) / data.n
 
 
-def lambda_path(data: Dataset, k_path: int = 50,
-                tau: float | None = None) -> np.ndarray:
-    """Strictly decreasing log-spaced penalty grid from lambda_max down to
-    LAMBDA_MIN_RATIO * lambda_max.
+def lambda_path(data: Dataset, k_path: int, tau: float) -> np.ndarray:
+    """Strictly decreasing log-spaced penalty grid of k_path values from
+    lambda_max down to LAMBDA_MIN_RATIO * lambda_max.
 
     lambda_max is the largest coordinate of |(1/n) X^T psi_tau(y - b0)| at
     the intercept-only model, the smallest penalty whose solution is exactly
-    beta = 0. tau defaults to the adaptive knee computed from the
-    intercept-only residual scale.
+    beta = 0 under the Huber knee tau.
     """
     if k_path < 1:
         raise ContractError("k_path must be >= 1")
-    if tau is None:
-        tau = adaptive_tau(data.n, data.d, robust_scale(data.y))
     b0 = huber_location(data.y, tau)
     score = huber_score(data.y - b0, tau)
     lam_max = float(np.max(np.abs(data.x.T @ score)) / data.n)

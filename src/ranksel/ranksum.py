@@ -45,28 +45,6 @@ PSI_CENTERING_TOL = 1e-12
 _COIN_CHUNK = 1 << 16
 
 
-def _as_loss_vector(values, name: str = "losses", min_n: int = 2) -> np.ndarray:
-    arr = np.ascontiguousarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ContractError(f"{name} must be one-dimensional")
-    if arr.size < min_n:
-        raise ContractError(f"{name} needs at least {min_n} entries, got {arr.size}")
-    if not np.all(np.isfinite(arr)):
-        raise DataError(f"{name} contains non-finite values")
-    return arr
-
-
-def _default_ties() -> np.random.Generator:
-    # Fixed fallback stream so calls without an explicit stream stay
-    # reproducible; callers that care pass their own keyed Generator.
-    return keyed_stream(0)
-
-
-def _sorted_with_order(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    order = np.argsort(x, kind="stable")    # stable => equal values stay in index order
-    return x[order], order
-
-
 @dataclass(frozen=True)
 class LossPanel:
     """Per-observation losses for M candidate models on n evaluation points."""
@@ -105,6 +83,7 @@ class LossPanel:
     @cached_property
     def _column_sorts(self) -> tuple[np.ndarray, np.ndarray]:
         cols = self.losses.T
+        # stable => equal values stay in index order
         order = np.argsort(cols, axis=1, kind="stable")
         return np.take_along_axis(cols, order, axis=1), order
 
@@ -129,6 +108,19 @@ class PairStats:
     mu: np.ndarray              # (p,) = u - 0.5
     se: np.ndarray              # (p,) > 0
     psi: np.ndarray             # (n, p)
+
+
+def _pair_panel(a, b, min_n: int) -> LossPanel:
+    """Samples a and b as the two columns of a panel (non-finite: DataError)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 1 or b.ndim != 1:
+        raise ContractError("a and b must be one-dimensional")
+    if a.size != b.size:
+        raise ContractError(f"length mismatch: {a.size} vs {b.size}")
+    if a.size < min_n:
+        raise ContractError(f"a and b need at least {min_n} entries, got {a.size}")
+    return LossPanel(losses=np.column_stack([a, b]), model_ids=("a", "b"))
 
 
 def _rank_counts(a_sorted, a_order, b_sorted, b_order, ties=None):
@@ -216,14 +208,11 @@ def ranksum_u(a, b, ties: np.random.Generator | None = None) -> float:
     b[l] are broken by independent fair coins drawn from ``ties`` in
     lexicographic (k, l) order.
     """
-    a = _as_loss_vector(a, "a")
-    b = _as_loss_vector(b, "b")
-    if a.size != b.size:
-        raise ContractError(f"length mismatch: {a.size} vs {b.size}")
-    stream = _default_ties if ties is None else (lambda: ties)
-    row, _, _, _ = _rank_counts(*_sorted_with_order(a), *_sorted_with_order(b), stream)
-    n = a.size
-    return float(row.sum() / (n * n))
+    panel = _pair_panel(a, b, min_n=2)
+    # Without a stream, a fixed one keeps the call reproducible.
+    stream = (lambda: keyed_stream(0)) if ties is None else (lambda: ties)
+    row, _, _, _ = _rank_counts(*panel.sorted_column(0), *panel.sorted_column(1), stream)
+    return float(row.sum() / (panel.n * panel.n))
 
 
 def se_ranksum(a, b) -> float:
@@ -234,12 +223,9 @@ def se_ranksum(a, b) -> float:
     each sample evaluated at the other's paired values. The floor keeps
     screening z-scores finite when the two samples are co-monotone.
     """
-    a = _as_loss_vector(a, "a", min_n=4)
-    b = _as_loss_vector(b, "b", min_n=4)
-    if a.size != b.size:
-        raise ContractError(f"length mismatch: {a.size} vs {b.size}")
-    _, _, hi, right = _rank_counts(*_sorted_with_order(a), *_sorted_with_order(b))
-    return _se_from_counts(hi, right, a.size)
+    panel = _pair_panel(a, b, min_n=4)
+    _, _, hi, right = _rank_counts(*panel.sorted_column(0), *panel.sorted_column(1))
+    return _se_from_counts(hi, right, panel.n)
 
 
 def pair_stats(panel: LossPanel, m: int, projection: str = "symmetrized",

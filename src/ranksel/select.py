@@ -19,9 +19,9 @@ nothing else:
 
 ``cv_select`` is plain argmin of average loss (singleton set).
 ``rsr_split`` / ``rsr_vfold`` wrap training: they split the data (a sample
-split is one evaluation fold), fit every candidate, assemble the
-out-of-sample loss panel, and defer to ``rsr_from_panel``. A candidate
-whose learner fails is flagged and assigned p-value 0.
+split evaluates on the second fold of a 2-fold plan), fit every candidate,
+assemble the out-of-sample loss panel, and defer to ``rsr_from_panel``. A
+candidate whose learner fails is flagged and assigned p-value 0.
 """
 
 from __future__ import annotations
@@ -285,17 +285,12 @@ class Candidate:
     fit: callable
 
 
-def make_split(n_total: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded half/half split; an odd leftover point joins the training half."""
-    if n_total < 2:
-        raise ContractError("need at least two observations to split")
-    perm = keyed_stream(seed, TAG_SPLIT).permutation(n_total)
-    n_eval = n_total // 2
-    return np.sort(perm[: n_total - n_eval]), np.sort(perm[n_total - n_eval:])
-
-
 def make_folds(n_total: int, v_folds: int, seed: int) -> list[np.ndarray]:
-    """Seeded partition into V near-equal folds; extras go to earlier folds."""
+    """Seeded partition into V near-equal folds; extras go to earlier folds.
+
+    A sample split is the V = 2 case: train on the first fold, evaluate on
+    the second, so an odd leftover point joins the training half.
+    """
     if v_folds < 2:
         raise ContractError("need at least two folds")
     if n_total < 2 * v_folds:
@@ -387,7 +382,7 @@ def rsr_split(candidates, data: Dataset, config: SelectionConfig,
     """Sample-splitting rank-sum selection: train on half, test on half."""
     if data.n < 8:
         raise ContractError("sample splitting needs at least 8 observations")
-    eval_idx = make_split(data.n, config.seed)[1]
+    eval_idx = make_folds(data.n, 2, config.seed)[1]
     return _rsr_from_folds(candidates, data, [eval_idx], config, loss, "rsr_split")
 
 

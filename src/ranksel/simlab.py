@@ -88,9 +88,7 @@ class Case1Config:
             raise ConfigError(f"n = {self.n} is too small for V = {self.V} folds")
         if not math.isfinite(self.x_df) or self.x_df <= 0:
             raise ConfigError(f"x_df must be finite and positive, got {self.x_df}")
-        if self.reps < 1:
-            raise ConfigError("reps must be >= 1")
-        _check_selection_settings(self, self.V)
+        _check_study_settings(self, self.V)
 
 
 @dataclass(frozen=True)
@@ -121,7 +119,9 @@ class Case2Config:
             raise ConfigError("p must be at least 7 to hold the true support")
         if self.n < 2 * self.folds:
             raise ConfigError("n too small for the fold count")
-        _check_selection_settings(self, self.folds)
+        if self.k_path < 2:
+            raise ConfigError(f"k_path must be >= 2, got {self.k_path}")
+        _check_study_settings(self, self.folds)
 
 
 @dataclass
@@ -194,21 +194,24 @@ def subset_candidates(d: int = CASE1_D) -> list[Candidate]:
             for s in enumerate_subsets(d)]
 
 
-def _selection_config(case_cfg, rep: int, tag: int, v_folds: int) -> SelectionConfig:
-    return SelectionConfig(seed=subseed(case_cfg.seed, tag, rep),
-                           alpha=case_cfg.alpha, B=case_cfg.B, V=v_folds,
+def _selection_config(case_cfg, seed: int, v_folds: int) -> SelectionConfig:
+    return SelectionConfig(seed=seed, alpha=case_cfg.alpha, B=case_cfg.B, V=v_folds,
                            screening_enabled=case_cfg.screening)
 
 
-def _check_selection_settings(case_cfg, v_folds: int) -> None:
-    """Reject alpha, B or the fold count by SelectionConfig's own bounds,
-    before any replicate draws data or fits a learner. Both studies use
-    V-fold panels, so sample splitting (V = 0) is refused too."""
+def _check_study_settings(case_cfg, v_folds: int) -> None:
+    """Reject the replicate and worker counts, and alpha, B or the fold count
+    by SelectionConfig's own bounds, before any replicate draws data or fits
+    a learner. Both studies use V-fold panels, so sample splitting (V = 0)
+    is refused too."""
+    if case_cfg.reps < 1:
+        raise ConfigError(f"reps must be >= 1, got {case_cfg.reps}")
+    if case_cfg.threads < 0:
+        raise ConfigError(f"threads must be >= 0, got {case_cfg.threads}")
     if v_folds < 2:
         raise ConfigError(f"the study needs at least 2 folds, got {v_folds}")
     try:
-        SelectionConfig(seed=case_cfg.seed, alpha=case_cfg.alpha, B=case_cfg.B,
-                        V=v_folds)
+        _selection_config(case_cfg, case_cfg.seed, v_folds)
     except ContractError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -242,7 +245,8 @@ def case1_replicate(config: Case1Config, rep: int) -> list[dict]:
     if panel is None:
         raise ConfigError("fewer than two candidates survived training")
     true_id = subset_mask_id(CASE1_TRUE_SUBSET, d)
-    sel_cfg = _selection_config(config, rep, TAG_C1_SELECT, config.V)
+    sel_cfg = _selection_config(config, subseed(config.seed, TAG_C1_SELECT, rep),
+                                config.V)
 
     rows = []
     for method in config.methods:
@@ -253,6 +257,9 @@ def case1_replicate(config: Case1Config, rep: int) -> list[dict]:
                "n_failed": len(failed)}
         if method == "rsr":
             row["bootstrap_columns"] = cs.bootstrap_columns
+            # Models that failed training are not in the replicate's panel.
+            m = panel.n_models
+            row["screening_reduced"] = bool(cs.bootstrap_columns < m * (m - 1))
         rows.append(row)
     return rows
 
@@ -277,36 +284,29 @@ def _aggregate(rows, methods, spec):
     return metrics
 
 
-def _run_replicates(worker, config, reps: int, threads: int) -> list[dict]:
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    if threads <= 1:
-        results = [worker(config, rep) for rep in range(reps)]
+def _run_study(case: str, worker, config, spec) -> AggregateReport:
+    """Run every replicate, in order, on at most one process per replicate
+    (threads = 0 means one per CPU), then aggregate the rows by ``spec``."""
+    workers = min(config.threads or os.cpu_count() or 1, config.reps)
+    if workers <= 1:
+        results = [worker(config, rep) for rep in range(config.reps)]
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(worker, [config] * reps, range(reps)))
-    rows = []
-    for per_rep in results:       # already ordered by replicate index
-        rows.extend(per_rep)
-    return rows
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(worker, [config] * config.reps,
+                                    range(config.reps)))
+    rows = [row for per_rep in results for row in per_rep]
+    return AggregateReport(case=case, config=_config_echo(config), reps=config.reps,
+                           metrics=_aggregate(rows, config.methods, spec),
+                           replicates=rows)
 
 
 def run_case1(config: Case1Config) -> AggregateReport:
-    rows = _run_replicates(case1_replicate, config, config.reps, config.threads)
-    for row in rows:
-        if row["method"] == "rsr":
-            # Models that failed training are not in the replicate's panel.
-            m = 2 ** CASE1_D - row["n_failed"]
-            row["screening_reduced"] = bool(row["bootstrap_columns"] < m * (m - 1))
-    spec = {
+    return _run_study("case1", case1_replicate, config, {
         "set_size": ("mean", "set_size"),
         "correct_rate": ("rate", "correct"),
         "bootstrap_columns": ("mean", "bootstrap_columns"),
         "screening_reduced_rate": ("rate", "screening_reduced"),
-    }
-    metrics = _aggregate(rows, config.methods, spec)
-    return AggregateReport(case="case1", config=_config_echo(config),
-                           reps=config.reps, metrics=metrics, replicates=rows)
+    })
 
 
 def _lambda_id(idx: int) -> str:
@@ -346,7 +346,8 @@ def case2_replicate(config: Case2Config, rep: int) -> list[dict]:
 
     panel = LossPanel(losses=huber_losses,
                       model_ids=tuple(_lambda_id(j) for j in range(k)))
-    sel_cfg = _selection_config(config, rep, TAG_C2_SELECT, config.folds)
+    sel_cfg = _selection_config(config, subseed(config.seed, TAG_C2_SELECT, rep),
+                                config.folds)
     full_lip = huber_lasso_lipschitz(data)
 
     rows = []
@@ -379,14 +380,10 @@ def case2_replicate(config: Case2Config, rep: int) -> list[dict]:
 
 
 def run_case2(config: Case2Config) -> AggregateReport:
-    rows = _run_replicates(case2_replicate, config, config.reps, config.threads)
-    spec = {
+    return _run_study("case2", case2_replicate, config, {
         "set_size": ("mean", "set_size"),
         "nonzeros": ("mean", "nonzeros"),
         "support_rate": ("rate", "support_covered"),
         "oracle_rate": ("rate", "oracle"),
         "cv_error": ("mean", "cv_error"),
-    }
-    metrics = _aggregate(rows, config.methods, spec)
-    return AggregateReport(case="case2", config=_config_echo(config),
-                           reps=config.reps, metrics=metrics, replicates=rows)
+    })

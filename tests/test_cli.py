@@ -11,6 +11,11 @@ from ranksel.io import (RunConfig, parse_config_file, read_loss_panel_csv,
                         read_xy_csv, write_loss_panel_csv)
 
 
+# Every selection flag shared by `select` and `panel`, each off its default.
+NON_DEFAULT_FLAGS = ["--alpha-screen", "0.3", "--s", "0.5", "--B", "200",
+                     "--projection", "row_only", "--no-screening"]
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -147,6 +152,18 @@ class TestCliSelect:
         for name in ("report.json", "pvalues.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_flags_echoed_in_params(self, data_csv, tmp_path):
+        out = tmp_path / "out"
+        rc = main(["select", "--data", str(data_csv), "--response", "y",
+                   "--learners", "ols,huber", "--folds", "0", "--loss", "absolute",
+                   *NON_DEFAULT_FLAGS, "--seed", "4", "--out", str(out)])
+        assert rc == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"]["params"] == {
+            "alpha": 0.1, "alpha_screen": 0.3, "s": 0.5, "B": 200, "folds": 0,
+            "projection": "row_only", "screening": False, "loss": "absolute",
+            "tau": 0.0}
+
     def test_missing_response_exit_2(self, data_csv, tmp_path, capsys):
         rc = main(["select", "--data", str(data_csv), "--response", "zz",
                    "--learners", "ols", "--seed", "1",
@@ -208,12 +225,30 @@ class TestCliPanel:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_defaults_echoed_in_params(self, panel_csv, tmp_path):
+        out = tmp_path / "out"
+        assert main(["panel", "--losses", str(panel_csv[0]), "--seed", "4",
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"]["params"] == {
+            "alpha": 0.1, "alpha_screen": 0.1, "s": 0.01, "B": 500,
+            "projection": "symmetrized", "screening": True}
+
+    def test_flags_echoed_in_params(self, panel_csv, tmp_path):
+        out = tmp_path / "out"
+        assert main(["panel", "--losses", str(panel_csv[0]), *NON_DEFAULT_FLAGS,
+                     "--seed", "4", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"]["params"] == {
+            "alpha": 0.1, "alpha_screen": 0.3, "s": 0.5, "B": 200,
+            "projection": "row_only", "screening": False}
+
     def test_numerical_failure_exit_4(self, panel_csv, tmp_path, monkeypatch):
-        from ranksel.errors import NumericalError
+        from ranksel.errors import LearnerError
         import ranksel.cli as cli_mod
 
         def boom(*args, **kwargs):
-            raise NumericalError("synthetic blow-up")
+            raise LearnerError("synthetic blow-up")
 
         monkeypatch.setattr(cli_mod, "rsr_from_panel", boom)
         rc = main(["panel", "--losses", str(panel_csv[0]), "--seed", "1",
@@ -333,6 +368,17 @@ class TestCliSimulate:
     def test_bad_selection_setting_exit_2_before_any_replicate(self, case, setting,
                                                                tmp_path, capsys,
                                                                monkeypatch):
+        self._assert_rejected_before_any_replicate(case, setting, tmp_path, capsys,
+                                                   monkeypatch)
+
+    @pytest.mark.parametrize("case, setting", [
+        ("case1", "reps=0"), ("case1", "reps=-2"), ("case1", "threads=-3"),
+        ("case2", "reps=0"), ("case2", "reps=-2"), ("case2", "threads=-3"),
+        ("case2", "k_path=1"), ("case2", "k_path=0"),
+    ])
+    def test_bad_study_setting_exit_2_before_any_replicate(self, case, setting,
+                                                           tmp_path, capsys,
+                                                           monkeypatch):
         self._assert_rejected_before_any_replicate(case, setting, tmp_path, capsys,
                                                    monkeypatch)
 

@@ -328,19 +328,20 @@ class TestHuberLasso:
 class TestLambdaPath:
     def test_single_value(self):
         data = TestHuberLasso._toy()
-        path = lambda_path(data, k_path=1)
+        path = lambda_path(data, k_path=1, tau=1.2)
         assert len(path) == 1
 
     def test_endpoint_ratio(self):
         data = TestHuberLasso._toy()
-        path = lambda_path(data, k_path=50)
+        path = lambda_path(data, k_path=50, tau=1.2)
         assert len(path) == 50
         assert path[-1] / path[0] == pytest.approx(0.01, rel=1e-9)
         assert np.all(np.diff(path) < 0)
 
     def test_zero_design_rejected(self):
         with pytest.raises(DataError):
-            lambda_path(Dataset(x=np.zeros((10, 2)), y=np.arange(10.0)))
+            lambda_path(Dataset(x=np.zeros((10, 2)), y=np.arange(10.0)), k_path=50,
+                        tau=1.0)
 
 
 class TestLambdaFoldCorrection:

@@ -10,7 +10,7 @@ from test_ranksum import loss_panels
 
 from ranksel import (Candidate, ContractError, Dataset, LossFn, LossPanel,
                      SelectionConfig, cv_select, cvc_style_select, fit_ols,
-                     make_folds, make_split, panel_from_folds,
+                     make_folds, panel_from_folds,
                      TieStreams, pair_stats, pcv_select, rsr_from_panel, rsr_split,
                      rsr_vfold, screen)
 from ranksel import bootstrap, select
@@ -418,13 +418,13 @@ class TestColumnOrder:
 
 class TestSplitsAndFolds:
     def test_split_sizes_odd_extra_to_training(self):
-        train, ev = make_split(11, seed=3)
+        train, ev = make_folds(11, 2, seed=3)
         assert train.size == 6 and ev.size == 5
         assert np.array_equal(np.sort(np.concatenate([train, ev])), np.arange(11))
 
     def test_split_deterministic(self):
-        a = make_split(20, seed=5)
-        b = make_split(20, seed=5)
+        a = make_folds(20, 2, seed=5)
+        b = make_folds(20, 2, seed=5)
         np.testing.assert_array_equal(a[0], b[0])
 
     def test_folds_near_equal_extras_first(self):

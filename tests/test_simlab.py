@@ -131,7 +131,8 @@ class TestCase1:
             Case1Config(n=10, x_df=3, seed=0)
 
     @pytest.mark.parametrize("bad", [dict(B=99), dict(alpha=0.0), dict(alpha=1.5),
-                                     dict(V=0), dict(V=1)])
+                                     dict(V=0), dict(V=1), dict(reps=0), dict(reps=-2),
+                                     dict(threads=-3)])
     def test_bad_selection_settings_rejected(self, bad):
         with pytest.raises(ConfigError):
             Case1Config(n=40, x_df=3, seed=0, **bad)
@@ -180,7 +181,48 @@ class TestCase2:
             self._small_cfg(rho=1.5)
 
     @pytest.mark.parametrize("bad", [dict(B=99), dict(alpha=0.0), dict(alpha=1.5),
-                                     dict(folds=0), dict(folds=1)])
+                                     dict(folds=0), dict(folds=1), dict(reps=0),
+                                     dict(reps=-2), dict(threads=-3), dict(k_path=1),
+                                     dict(k_path=0)])
     def test_bad_selection_settings_rejected(self, bad):
         with pytest.raises(ConfigError):
             self._small_cfg(**bad)
+
+
+@pytest.mark.parametrize("threads, reps, cpus, pool", [
+    (64, 2, 2, 2),       # never more workers than replicates
+    (0, 3, 8, 3),
+    (0, 5, 2, 2),        # 0 = one worker per CPU
+    (2, 4, 8, 2),
+    (1, 4, 8, None),     # one worker runs in-process
+    (3, 1, 8, None),
+    (0, 4, None, None),  # CPU count unknown: in-process
+])
+def test_worker_count_capped_at_reps(threads, reps, cpus, pool, monkeypatch):
+    import ranksel.simlab as simlab_mod
+
+    opened = []
+
+    class RecordingPool:
+        """Stand-in for ProcessPoolExecutor: records max_workers, runs in-process."""
+
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(simlab_mod, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(simlab_mod.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(simlab_mod, "case1_replicate",
+                        lambda config, rep: [{"rep": rep, "method": "cv", "set_size": 1}])
+    report = run_case1(Case1Config(n=40, x_df=3, seed=0, reps=reps, threads=threads,
+                                   methods=("cv",)))
+    assert opened == ([] if pool is None else [pool])
+    assert [r["rep"] for r in report.replicates] == list(range(reps))

@@ -1,23 +1,43 @@
-"""Print the SHA-256 of each acceptance aggregate, one ``name hash`` line each.
+"""Print the SHA-256 of each pinned output, one ``name hash`` line each.
 
-    PYTHONPATH=src python tools/acceptance_hashes.py
+    PYTHONPATH=src python tools/acceptance_hashes.py          # everything
+    PYTHONPATH=src python tools/acceptance_hashes.py cli      # CLI runs only, seconds
 
-The aggregates are the ones tests/test_acceptance.py builds, from its own
-config helpers, at ACCEPT_SEED and threads=2: criterion 2's JSON, Case 1's
-``to_json()`` at n=320 and n=40, and Case 2's at (200, 200). A change that
-claims to keep output bytes compares these lines before and after. The four
-runs take a few minutes on two cores; Case 2 is the longest.
+Two groups. ``cli`` runs ``ranksel`` in-process on small seeded inputs and
+hashes every file it writes that the change under test might touch:
+``report.json`` and ``pvalues.csv`` of ``panel`` on a tie-free and a 0/1
+loss panel (default, ``--no-screening``, ``--projection row_only``) and of
+``select`` at ``--folds 0`` and ``--folds 5``, plus ``aggregate.json`` and
+``replicates.csv`` of ``simulate case1`` at n = 40 with 3 replicates. The
+runs work in a fresh temporary directory through relative paths, so the
+input paths that ``report.json`` echoes are the same on every run.
+
+``acceptance`` hashes the aggregates tests/test_acceptance.py builds, from
+its own config helpers, at ACCEPT_SEED and threads=2: criterion 2's JSON,
+Case 1's ``to_json()`` at n=320 and n=40, and Case 2's at (200, 200). These
+take a few minutes on two cores; Case 2 is the longest.
+
+A change that claims to keep output bytes compares these lines before and
+after.
 """
 
+import contextlib
+import csv
 import hashlib
+import os
 import sys
+import tempfile
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 import test_acceptance as acc  # noqa: E402
 
-from ranksel import run_case1, run_case2  # noqa: E402
+from ranksel import LossPanel, run_case1, run_case2  # noqa: E402
+from ranksel.cli import main as ranksel_main  # noqa: E402
+from ranksel.io import write_loss_panel_csv  # noqa: E402
 
 AGGREGATES = (
     ("crit2", lambda: acc._crit2_aggregate(threads=2)),
@@ -26,13 +46,87 @@ AGGREGATES = (
     ("case2", lambda: run_case2(acc.case2_config()).to_json()),
 )
 
+PANEL_MODES = (("default", []), ("no_screening", ["--no-screening"]),
+               ("row_only", ["--projection", "row_only"]))
 
-def main() -> int:
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _write_inputs() -> None:
+    rng = np.random.default_rng(401)
+    # Graded shifts, so screening drops the clearly worse columns.
+    cont = np.abs(rng.standard_cauchy((300, 12))) + np.linspace(0.0, 3.0, 12)
+    write_loss_panel_csv("cont.csv", LossPanel(
+        losses=cont, model_ids=tuple(f"m{j:02d}" for j in range(12))))
+    rates = np.linspace(0.3, 0.5, 6)
+    ties = (rng.random((300, 6)) < rates).astype(float)
+    write_loss_panel_csv("ties.csv", LossPanel(
+        losses=ties, model_ids=tuple(f"m{j:02d}" for j in range(6))))
+    x = rng.standard_normal((80, 3))
+    y = 1.0 + x @ np.array([2.0, 0.0, -1.0]) + rng.standard_t(2, size=80)
+    with open("xy.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x1", "x2", "x3", "y"])
+        writer.writerows(np.column_stack([x, y]).tolist())
+    Path("case1.cfg").write_text("n = 40\nx_df = 3\nreps = 3\nseed = 401\n",
+                                 encoding="utf-8")
+
+
+def _cli_runs():
+    """(name, argv, output files to hash) for each pinned CLI run."""
+    for panel in ("cont", "ties"):
+        for mode, flags in PANEL_MODES:
+            name = f"panel_{panel}_{mode}"
+            yield name, ["panel", "--losses", f"{panel}.csv", *flags, "--seed", "7",
+                         "--out", name], ("report.json", "pvalues.csv")
+    for folds in (0, 5):
+        name = f"select_folds{folds}"
+        yield name, ["select", "--data", "xy.csv", "--response", "y",
+                     "--learners", "ols,huber,huber_lasso", "--folds", str(folds),
+                     "--seed", "7", "--out", name], ("report.json", "pvalues.csv")
+    yield "case1_cli_n40", ["simulate", "case1", "--config", "case1.cfg",
+                            "--out", "case1_cli_n40"], ("aggregate.json",
+                                                        "replicates.csv")
+
+
+def cli_hashes():
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            _write_inputs()
+            for name, argv, files in _cli_runs():
+                with contextlib.redirect_stdout(sys.stderr):
+                    code = ranksel_main(argv)
+                if code != 0:
+                    raise RuntimeError(f"ranksel {' '.join(argv)} exited {code}")
+                for file in files:
+                    yield f"{name}/{file}", _digest(Path(name, file).read_bytes())
+        finally:
+            os.chdir(cwd)
+
+
+def acceptance_hashes():
     for name, build in AGGREGATES:
-        digest = hashlib.sha256(build().encode("utf-8")).hexdigest()
-        print(f"{name} {digest}", flush=True)
+        yield name, _digest(build().encode("utf-8"))
+
+
+GROUPS = {"cli": cli_hashes, "acceptance": acceptance_hashes}
+
+
+def main(argv) -> int:
+    unknown = [g for g in argv if g not in GROUPS]
+    if unknown:
+        print(f"unknown group(s) {unknown}; choose from {sorted(GROUPS)}",
+              file=sys.stderr)
+        return 2
+    for group in argv or GROUPS:
+        for name, digest in GROUPS[group]():
+            print(f"{name} {digest}", flush=True)
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
