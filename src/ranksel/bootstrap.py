@@ -50,7 +50,7 @@ class BootstrapConfig:
             warnings.warn(
                 f"B = {self.B} bootstrap draws is below the recommended "
                 f"{RECOMMENDED_MIN_DRAWS}; p-values will be coarse",
-                stacklevel=2,
+                stacklevel=3,
             )
         object.__setattr__(self, "B", int(self.B))
         object.__setattr__(self, "seed", int(self.seed))

@@ -2,10 +2,11 @@
 
 Provides squared/absolute/Huber losses, ordinary least squares, adaptive
 Huber regression (IRLS with a data-driven robustification parameter), and
-l1-penalized Huber regression solved by proximal gradient with backtracking,
-plus the lambda-path and subset-enumeration helpers the simulation studies
-need. Learners raise :class:`LearnerError` on unusable data; selection code
-treats that as a failed candidate rather than aborting.
+l1-penalized Huber regression solved by proximal gradient with fixed step
+1/L, L = sigma_max([1 X])^2 / n, plus the lambda-path and subset-enumeration
+helpers the simulation studies need. Learners raise :class:`LearnerError` on
+unusable data; selection code treats that as a failed candidate rather than
+aborting.
 """
 
 from __future__ import annotations
@@ -267,10 +268,13 @@ def fit_huber_lasso(data: Dataset, lam: float, tau: float,
     """l1-penalized Huber regression by proximal gradient.
 
     Minimizes (1/n) sum huber_tau(y_i - b0 - x_i @ beta) + lam * ||beta||_1
-    with an unpenalized intercept. Steps use backtracking line search from a
-    Lipschitz-based initial step; iterations stop once the relative
-    objective change drops to ``tol``. The objective is checked to be
-    non-increasing every iteration.
+    with an unpenalized intercept. Each iteration takes one proximal step of
+    fixed length 1/L, L = sigma_max([1 X])^2 / n, which never increases the
+    objective (Beck & Teboulle 2009); iterations stop once the relative
+    objective change drops to ``tol``. The objective is still checked to be
+    non-increasing every iteration. ``lip`` must be an upper bound on the
+    smooth part's Lipschitz constant, such as huber_lasso_lipschitz(data);
+    path runners pass it in to avoid recomputing it per fit.
     """
     if lam <= 0:
         raise ContractError("lambda must be positive")
@@ -288,14 +292,12 @@ def fit_huber_lasso(data: Dataset, lam: float, tau: float,
         b0 = huber_location(y, tau)
         beta = np.zeros(d)
 
-    # Path runners pass the Lipschitz bound in to avoid recomputing per fit.
     if lip is None:
         lip = huber_lasso_lipschitz(data)
     step = 1.0 / max(lip, 1e-12)
 
     r = y - b0 - x @ beta
-    smooth = _huber_objective(r, tau)
-    obj = smooth + lam * np.abs(beta).sum()
+    obj = _huber_objective(r, tau) + lam * np.abs(beta).sum()
     history = [obj] if keep_history else None
     converged = False
 
@@ -303,27 +305,16 @@ def fit_huber_lasso(data: Dataset, lam: float, tau: float,
         psi = huber_score(r, tau)
         g0 = -psi.mean()
         g = -(x.T @ psi) / n
-        while True:
-            b0_new = b0 - step * g0
-            beta_new = soft_threshold(beta - step * g, step * lam)
-            r_new = y - b0_new - x @ beta_new
-            smooth_new = _huber_objective(r_new, tau)
-            db0 = b0_new - b0
-            dbeta = beta_new - beta
-            quad = (smooth + g0 * db0 + g @ dbeta
-                    + (db0 * db0 + dbeta @ dbeta) / (2.0 * step))
-            if smooth_new <= quad + 1e-12 * max(1.0, abs(smooth)):
-                break
-            step *= 0.5
-            if step < 1e-18:
-                raise LearnerError("line search collapsed")
-        obj_new = smooth_new + lam * np.abs(beta_new).sum()
+        b0_new = b0 - step * g0
+        beta_new = soft_threshold(beta - step * g, step * lam)
+        r_new = y - b0_new - x @ beta_new
+        obj_new = _huber_objective(r_new, tau) + lam * np.abs(beta_new).sum()
         if obj_new > obj + 1e-8 * max(1.0, abs(obj)):
             raise LearnerError("proximal gradient objective increased")
         if keep_history:
             history.append(obj_new)
         rel_change = abs(obj - obj_new) / max(1.0, abs(obj))
-        b0, beta, r, obj, smooth = b0_new, beta_new, r_new, obj_new, smooth_new
+        b0, beta, r, obj = b0_new, beta_new, r_new, obj_new
         if rel_change <= tol:
             converged = True
             break
@@ -337,31 +328,15 @@ def fit_huber_lasso(data: Dataset, lam: float, tau: float,
     return FittedLinear(intercept=b0, coef=beta, meta=meta)
 
 
-def _augmented_gram_norm(x: np.ndarray, iters: int = 60) -> float:
-    """Largest eigenvalue of [1 X]^T [1 X] by power iteration."""
-    n, d = x.shape
-    v = np.full(d + 1, 1.0 / math.sqrt(d + 1))
-    val = 1.0
-    for _ in range(iters):
-        u = v[0] + x @ v[1:]
-        w = np.empty(d + 1)
-        w[0] = u.sum()
-        w[1:] = x.T @ u
-        nrm = np.linalg.norm(w)
-        if nrm == 0:
-            return float(n)   # degenerate design; intercept column alone
-        v = w / nrm
-        val = nrm
-    return float(val)
-
-
 def huber_lasso_lipschitz(data: Dataset) -> float:
-    """Step-size bound for fit_huber_lasso, reusable across a lambda path.
+    """Step-size constant for fit_huber_lasso, reusable across a lambda path.
 
-    Huber curvature is at most 1, so the smooth part has Lipschitz constant
-    <= the largest eigenvalue of [1 X]^T [1 X] / n.
+    Huber curvature is at most 1, so sigma_max([1 X])^2 / n, the largest
+    eigenvalue of [1 X]^T [1 X] / n, is a Lipschitz constant of the smooth
+    part's gradient. It is computed exactly (an SVD), so 1/L is a safe step.
     """
-    return _augmented_gram_norm(data.x) / data.n
+    design = np.column_stack([np.ones(data.n), data.x])
+    return float(np.linalg.norm(design, 2) ** 2 / data.n)
 
 
 def lambda_path(data: Dataset, k_path: int, tau: float) -> np.ndarray:

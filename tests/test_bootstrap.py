@@ -76,8 +76,10 @@ class TestBootstrapConfig:
             BootstrapConfig(B=99, seed=0)
 
     def test_low_draws_warn(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as caught:
             BootstrapConfig(B=100, seed=0)
+        # the warning names the caller, not the dataclass-generated __init__
+        assert [w.filename for w in caught] == [__file__]
 
     def test_default_is_quiet(self, recwarn):
         BootstrapConfig(seed=0)

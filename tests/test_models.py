@@ -10,7 +10,8 @@ from ranksel import (ContractError, Dataset, DataError, LearnerError, LossFn,
 from ranksel import models
 from ranksel.models import (_huber_weights, _median, huber_lasso_lipschitz, huber_score,
                              robust_scale, subset_mask_id)
-from ranksel.simlab import subset_candidates
+from ranksel.rng import keyed_stream
+from ranksel.simlab import TAG_C2_DATA, ar1_design, subset_candidates
 
 
 def _lstsq_irls(data, tau0, adapt, max_iter=200, tol=1e-8):
@@ -264,9 +265,11 @@ class TestHuberLocation:
 
 class TestHuberLasso:
     @staticmethod
-    def _toy(n=80, d=10, seed=5):
+    def _toy(n=80, d=10, seed=5, rho=None):
+        """Sparse truth on the first three columns; i.i.d. normal columns, or
+        AR(1) columns with correlation rho."""
         rng = np.random.default_rng(seed)
-        x = rng.standard_normal((n, d))
+        x = rng.standard_normal((n, d)) if rho is None else ar1_design(n, d, rho, rng)
         beta = np.zeros(d)
         beta[:3] = [2.0, -1.5, 1.0]
         y = 0.7 + x @ beta + 0.2 * rng.standard_normal(n)
@@ -290,24 +293,28 @@ class TestHuberLasso:
         assert np.abs(lasso.coef - irls.coef).max() < 1e-4
 
     def test_kkt_conditions(self):
-        data = self._toy()
         tau = 1.2
         lam = 0.08
-        fit = fit_huber_lasso(data, lam=lam, tau=tau, max_iter=20000, tol=1e-13)
-        r = data.y - fit.intercept - data.x @ fit.coef
-        grad = -(data.x.T @ huber_score(r, tau)) / data.n
-        zero = fit.coef == 0.0
-        assert np.all(np.abs(grad[zero]) <= lam + 1e-6)
-        active = ~zero
-        assert np.abs(grad[active] + lam * np.sign(fit.coef[active])).max() <= 1e-6
-        # intercept direction is unpenalized and stationary
-        assert abs(np.mean(huber_score(r, tau))) <= 1e-6
+        # The correlated p > n design converges more slowly, so it runs to a
+        # smaller objective change before the same KKT bounds are checked.
+        correlated = self._toy(n=60, d=120, rho=0.9)
+        for data, tol in ((self._toy(), 1e-13), (correlated, 1e-15)):
+            fit = fit_huber_lasso(data, lam=lam, tau=tau, max_iter=20000, tol=tol)
+            assert fit.meta["converged"]
+            r = data.y - fit.intercept - data.x @ fit.coef
+            grad = -(data.x.T @ huber_score(r, tau)) / data.n
+            zero = fit.coef == 0.0
+            assert np.all(np.abs(grad[zero]) <= lam + 1e-6)
+            active = ~zero
+            assert np.abs(grad[active] + lam * np.sign(fit.coef[active])).max() <= 1e-6
+            # intercept direction is unpenalized and stationary
+            assert abs(np.mean(huber_score(r, tau))) <= 1e-6
 
     def test_objective_monotone(self):
-        data = self._toy(seed=7)
-        fit = fit_huber_lasso(data, lam=0.05, tau=1.0, keep_history=True)
-        hist = np.array(fit.meta["objective_history"])
-        assert np.all(np.diff(hist) <= 1e-10 * np.maximum(1.0, np.abs(hist[:-1])))
+        for data in (self._toy(seed=7), self._toy(n=60, d=120, rho=0.9)):
+            fit = fit_huber_lasso(data, lam=0.05, tau=1.0, keep_history=True)
+            hist = np.array(fit.meta["objective_history"])
+            assert np.all(np.diff(hist) <= 1e-10 * np.maximum(1.0, np.abs(hist[:-1])))
 
     def test_support_grows_from_empty(self):
         data = self._toy()
@@ -450,7 +457,16 @@ class TestHelpers:
         design = np.column_stack([np.ones(40), x])
         exact = np.linalg.eigvalsh(design.T @ design).max() / 40
         assert huber_lasso_lipschitz(Dataset(x=x, y=np.zeros(40))) == pytest.approx(
-            exact, rel=1e-6)
+            exact, rel=1e-10)
+
+    def test_lipschitz_is_an_upper_bound(self):
+        # A Case 2 shaped training design. The fixed step 1/L is safe only
+        # if L does not undershoot the top eigenvalue of [1 X]^T [1 X] / n.
+        x = ar1_design(200, 200, 0.25, keyed_stream(401, TAG_C2_DATA, 1))[:160]
+        design = np.column_stack([np.ones(160), x])
+        exact = np.linalg.eigvalsh(design.T @ design).max() / 160
+        lip = huber_lasso_lipschitz(Dataset(x=x, y=np.zeros(160)))
+        assert lip >= exact * (1 - 1e-12)
 
 
 class TestDataset:

@@ -7,10 +7,12 @@ Two groups. ``cli`` runs ``ranksel`` in-process on small seeded inputs and
 hashes every file it writes that the change under test might touch:
 ``report.json`` and ``pvalues.csv`` of ``panel`` on a tie-free and a 0/1
 loss panel (default, ``--no-screening``, ``--projection row_only``) and of
-``select`` at ``--folds 0`` and ``--folds 5``, plus ``aggregate.json`` and
-``replicates.csv`` of ``simulate case1`` at n = 40 with 3 replicates. The
-runs work in a fresh temporary directory through relative paths, so the
-input paths that ``report.json`` echoes are the same on every run.
+``select`` at ``--folds 0`` and ``--folds 5``, plus ``aggregate.json``,
+``replicates.csv``, ``setsize_vs_n.dat`` and ``rates.dat`` of ``simulate
+case1`` at n = 40 with 3 replicates and of ``simulate case2`` at (200, 200)
+with 1 replicate (the Huber-lasso path solver; about ten seconds). The runs
+work in a fresh temporary directory through relative paths, so the input
+paths that ``report.json`` echoes are the same on every run.
 
 ``acceptance`` hashes the aggregates tests/test_acceptance.py builds, from
 its own config helpers, at ACCEPT_SEED and threads=2: criterion 2's JSON,
@@ -72,6 +74,8 @@ def _write_inputs() -> None:
         writer.writerows(np.column_stack([x, y]).tolist())
     Path("case1.cfg").write_text("n = 40\nx_df = 3\nreps = 3\nseed = 401\n",
                                  encoding="utf-8")
+    Path("case2.cfg").write_text("n = 200\np = 200\nnoise_df = 3\nrho = 0.25\n"
+                                 "reps = 1\nseed = 401\n", encoding="utf-8")
 
 
 def _cli_runs():
@@ -86,9 +90,9 @@ def _cli_runs():
         yield name, ["select", "--data", "xy.csv", "--response", "y",
                      "--learners", "ols,huber,huber_lasso", "--folds", str(folds),
                      "--seed", "7", "--out", name], ("report.json", "pvalues.csv")
-    yield "case1_cli_n40", ["simulate", "case1", "--config", "case1.cfg",
-                            "--out", "case1_cli_n40"], ("aggregate.json",
-                                                        "replicates.csv")
+    for name, case in (("case1_cli_n40", "case1"), ("case2_cli_200x200", "case2")):
+        yield name, ["simulate", case, "--config", f"{case}.cfg", "--out", name], (
+            "aggregate.json", "replicates.csv", "setsize_vs_n.dat", "rates.dat")
 
 
 def cli_hashes():
