@@ -7,13 +7,14 @@ scores ``psi``, or decides m's p-value outright. One loop,
 ``_select_loop``, bootstraps the minimum of ``mu`` with shared Gaussian
 multipliers and keeps m when its p-value reaches alpha. The loop draws one
 multiplier block per call, keyed by (seed, method tag), and every
-reference model's bootstrap reuses it; tie coins are keyed by model ids.
-Reordering a panel's columns therefore reorders the results and changes
-nothing else:
+reference model's bootstrap reuses it; RSR's tie coins are keyed by model
+ids. Reordering a panel's columns therefore reorders the results and
+changes nothing else:
 
 * ``rsr_from_panel``: generalized rank-sum pairs; optional screening drops
   competitors that m already beats overwhelmingly (all dropped: p = 1).
-* ``pcv_select``: paired per-observation win indicators.
+* ``pcv_select``: paired per-observation win indicators; a tie counts as
+  half a win, and a competitor tied with m everywhere is ignored.
 * ``cvc_style_select``: studentized mean loss differences (intentionally
   non-robust); a competitor's constant win rejects m outright.
 
@@ -43,7 +44,6 @@ from .rng import TieStreams, keyed_stream, subseed
 TAG_SPLIT = 101
 TAG_RSR_TIES = 102
 TAG_RSR_BOOT = 103
-TAG_PCV_TIES = 104
 TAG_PCV_BOOT = 105
 TAG_CVC_BOOT = 106
 
@@ -201,19 +201,15 @@ def _rsr_evidence(panel: LossPanel, config: SelectionConfig, ties: TieStreams,
     return _Evidence(stats.mu[keep], stats.psi[:, keep], dropped=dropped)
 
 
-def _pcv_evidence(panel: LossPanel, ties: TieStreams, m: int) -> _Evidence:
-    competitors = [j for j in range(panel.n_models) if j != m]
-    ids = panel.model_ids
-    ind = np.empty((panel.n, len(competitors)))
-    a = panel.column(m)
-    for idx, j in enumerate(competitors):
-        b = panel.column(j)
-        wins = (a < b).astype(float)
-        tied = np.nonzero(a == b)[0]
-        if tied.size:
-            wins[tied] = ties.pair(ids[m], ids[j]).random(tied.size) < 0.5
-        ind[:, idx] = wins
-    return _Evidence(ind.mean(axis=0) - 0.5, ind - ind.mean(axis=0))
+def _pcv_evidence(panel: LossPanel, m: int) -> _Evidence:
+    a = panel.column(m)[:, None]
+    others = np.delete(panel.losses, m, axis=1)
+    tied = a == others
+    ind = ((a < others) + 0.5 * tied)[:, ~tied.all(axis=0)]
+    if ind.shape[1] == 0:
+        return _Evidence(decided=(1.0, math.inf))
+    means = ind.mean(axis=0)
+    return _Evidence(means - 0.5, ind - means)
 
 
 def _cvc_evidence(panel: LossPanel, m: int) -> _Evidence:
@@ -241,10 +237,13 @@ def rsr_from_panel(panel: LossPanel, config: SelectionConfig,
 
 
 def pcv_select(panel: LossPanel, config: SelectionConfig) -> ConfidenceSet:
-    """Paired-comparison confidence set: per-observation win indicators."""
-    ties = TieStreams(config.seed, TAG_PCV_TIES)
+    """Paired-comparison confidence set: per-observation win indicators.
+
+    A tie scores 1/2, a fair coin's mean, so no coin is drawn. A copy of m
+    (mu = 0, psi = 0) carries no evidence and is dropped; none left: p = 1.
+    """
     return _select_loop(panel, config, "pcv", TAG_PCV_BOOT,
-                        partial(_pcv_evidence, panel, ties))
+                        partial(_pcv_evidence, panel))
 
 
 def cvc_style_select(panel: LossPanel, config: SelectionConfig) -> ConfidenceSet:

@@ -12,7 +12,9 @@ loss panel (default, ``--no-screening``, ``--projection row_only``) and of
 case1`` at n = 40 with 3 replicates and of ``simulate case2`` at (200, 200)
 with 1 replicate (the Huber-lasso path solver; about ten seconds). The runs
 work in a fresh temporary directory through relative paths, so the input
-paths that ``report.json`` echoes are the same on every run.
+paths that ``report.json`` echoes are the same on every run. The CLI does
+not run PCV, so ``pcv_cont`` and ``pcv_ties`` hash the sorted-key JSON of
+``pcv_select(...).to_dict()`` on the same two panels at seed 7.
 
 ``acceptance`` hashes the aggregates tests/test_acceptance.py builds, from
 its own config helpers, at ACCEPT_SEED and threads=2: criterion 2's JSON,
@@ -26,6 +28,7 @@ after.
 import contextlib
 import csv
 import hashlib
+import json
 import os
 import sys
 import tempfile
@@ -37,9 +40,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 import test_acceptance as acc  # noqa: E402
 
-from ranksel import LossPanel, run_case1, run_case2  # noqa: E402
+from ranksel import (LossPanel, SelectionConfig, pcv_select, run_case1,  # noqa: E402
+                     run_case2)
 from ranksel.cli import main as ranksel_main  # noqa: E402
-from ranksel.io import write_loss_panel_csv  # noqa: E402
+from ranksel.io import read_loss_panel_csv, write_loss_panel_csv  # noqa: E402
 
 AGGREGATES = (
     ("crit2", lambda: acc._crit2_aggregate(threads=2)),
@@ -108,6 +112,10 @@ def cli_hashes():
                     raise RuntimeError(f"ranksel {' '.join(argv)} exited {code}")
                 for file in files:
                     yield f"{name}/{file}", _digest(Path(name, file).read_bytes())
+            for panel in ("cont", "ties"):
+                cs = pcv_select(read_loss_panel_csv(f"{panel}.csv"), SelectionConfig(seed=7))
+                yield f"pcv_{panel}", _digest(
+                    json.dumps(cs.to_dict(), sort_keys=True).encode("utf-8"))
         finally:
             os.chdir(cwd)
 
