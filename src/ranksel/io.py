@@ -75,6 +75,26 @@ def _read_csv_rows(path):
     return header, rows
 
 
+def _parse_rows(rows, header, cols) -> np.ndarray:
+    """Columns ``cols`` of the rows as a float array.
+
+    A bad cell raises the DataError of ``_parse_cell`` for the first bad
+    cell in row order; the per-cell loop runs only when one exists.
+    """
+    out = np.empty((len(rows), len(cols)))
+    try:
+        for i, (_, row) in enumerate(rows):
+            out[i] = [float(row[j]) for j in cols]
+        if np.isfinite(out).all():
+            return out
+    except ValueError:
+        pass
+    for i, (line_no, row) in enumerate(rows):
+        for k, j in enumerate(cols):
+            out[i, k] = _parse_cell(row[j].strip(), line_no, header[j])
+    return out
+
+
 def read_loss_panel_csv(path) -> LossPanel:
     """Loss panel from CSV: one column per model, one row per observation."""
     header, rows = _read_csv_rows(path)
@@ -86,10 +106,7 @@ def read_loss_panel_csv(path) -> LossPanel:
            for h in header]
     if len(rows) < 2:
         raise DataError(f"{path} has {len(rows)} data row(s); need at least 2")
-    losses = np.empty((len(rows), len(header)))
-    for i, (line_no, row) in enumerate(rows):
-        for j, raw in enumerate(row):
-            losses[i, j] = _parse_cell(raw.strip(), line_no, header[j])
+    losses = _parse_rows(rows, header, range(len(header)))
     return LossPanel(losses=losses, model_ids=tuple(ids))
 
 
@@ -107,12 +124,10 @@ def read_xy_csv(path, response: str):
         raise ConfigError(f"{path} has no feature columns besides {response!r}")
     if len(rows) < 2:
         raise DataError(f"{path} has {len(rows)} data row(s); need at least 2")
-    x = np.empty((len(rows), len(feat_cols)))
-    y = np.empty(len(rows))
-    for i, (line_no, row) in enumerate(rows):
-        y[i] = _parse_cell(row[y_col].strip(), line_no, response)
-        for k, j in enumerate(feat_cols):
-            x[i, k] = _parse_cell(row[j].strip(), line_no, header[j])
+    # The response leads, so a bad row reports its response cell first.
+    values = _parse_rows(rows, header, [y_col, *feat_cols])
+    x = np.ascontiguousarray(values[:, 1:])
+    y = values[:, 0].copy()
     return x, y, [header[j] for j in feat_cols]
 
 

@@ -13,7 +13,10 @@ errors feed the Gaussian multiplier bootstrap in :mod:`ranksel.bootstrap`.
 
 Cost: a panel sorts each of its M columns once (``LossPanel.sorted_column``);
 each pair then costs one binary search with sorted needles (two if the
-pair has a tie), O(n) counting and scatters back to index order. Tie coins
+pair has a tie), O(n) counting and scatters back to index order. Across
+one panel's references, a tie-free pair is counted once per unordered
+pair: its counts for the later reference are the earlier one's mirrored,
+kept up to ``_MIRROR_BYTES`` (see :func:`pair_stats`). Tie coins
 cost O(tied cells) and are only drawn, from a stream created on demand,
 for pairs that have a tied cell; they are drawn in chunks of whole rows,
 so the working memory of a tie-heavy pair is bounded by the chunk size,
@@ -43,6 +46,11 @@ PSI_CENTERING_TOL = 1e-12
 # together up to this many coins (a single wider row is drawn on its own).
 # Bounds the per-chunk buffers on tie-heavy panels such as 0/1 losses.
 _COIN_CHUNK = 1 << 16
+
+# Most bytes of mirrored counts that ``pair_stats`` keeps pending for
+# later references; past it, pairs are counted directly. Bounds the
+# memory of a large-M panel, whose pending cells grow as M^2 n / 4.
+_MIRROR_BYTES = 32 << 20
 
 
 @dataclass(frozen=True)
@@ -128,20 +136,24 @@ def _rank_counts(a_sorted, a_order, b_sorted, b_order, ties=None):
 
     Returns, each in original index order: row[k] = #{l : a_k beats b_l},
     col[l] = #{k : a_k beats b_l}, hi[k] = #{l : b_l <= a_k} and
-    right[l] = #{k : a_k <= b_l}. An exact tie a_k == b_l is settled by a
-    fair coin from the Generator that ``ties()`` returns; ``ties`` is
-    called only when the pair has a tied cell. With ``ties=None`` a tie
-    counts for neither side (``hi`` and ``right`` never depend on coins).
+    right[l] = #{k : a_k <= b_l}, then whether any a_k == b_l. An exact
+    tie is settled by a fair coin from the Generator that ``ties()``
+    returns; ``ties`` is called only when the pair has a tied cell. With
+    ``ties=None`` a tie counts for neither side (``hi`` and ``right``
+    never depend on coins).
     """
     n = a_sorted.size
     hi_s = np.searchsorted(b_sorted, a_sorted, side="right")
     # a_i ties iff it equals the largest b at or below it; hi_s[i] = 0 wraps
     # to the largest b, which then exceeds a_i.
     has_ties = bool((b_sorted[hi_s - 1] == a_sorted).any())
-    lo_s = np.searchsorted(b_sorted, a_sorted, side="left") if has_ties else hi_s
     # In sorted positions: a_i < b_l iff hi_s[i] <= l, a_i <= b_l iff lo_s[i] <= l.
-    col_s = np.cumsum(np.bincount(hi_s, minlength=n + 1)[:n]).astype(float)
-    right_s = np.cumsum(np.bincount(lo_s, minlength=n + 1)[:n])
+    # Without ties lo_s is hi_s, so one count serves both sides.
+    right_s = np.cumsum(np.bincount(hi_s, minlength=n + 1)[:n])
+    col_s = right_s.astype(float)
+    if has_ties:
+        lo_s = np.searchsorted(b_sorted, a_sorted, side="left")
+        right_s = np.cumsum(np.bincount(lo_s, minlength=n + 1)[:n])
     hi = np.empty(n, dtype=np.intp)
     hi[a_order] = hi_s
     row = (n - hi).astype(float)
@@ -153,7 +165,7 @@ def _rank_counts(a_sorted, a_order, b_sorted, b_order, ties=None):
     col[b_order] = col_s
     right = np.empty(n, dtype=np.intp)
     right[b_order] = right_s
-    return row, col, hi, right
+    return row, col, hi, right, has_ties
 
 
 def _add_tie_wins(row, col_sorted, lo, hi, gen: np.random.Generator) -> None:
@@ -211,7 +223,7 @@ def ranksum_u(a, b, ties: np.random.Generator | None = None) -> float:
     panel = _pair_panel(a, b, min_n=2)
     # Without a stream, a fixed one keeps the call reproducible.
     stream = (lambda: keyed_stream(0)) if ties is None else (lambda: ties)
-    row, _, _, _ = _rank_counts(*panel.sorted_column(0), *panel.sorted_column(1), stream)
+    row, *_ = _rank_counts(*panel.sorted_column(0), *panel.sorted_column(1), stream)
     return float(row.sum() / (panel.n * panel.n))
 
 
@@ -224,12 +236,12 @@ def se_ranksum(a, b) -> float:
     screening z-scores finite when the two samples are co-monotone.
     """
     panel = _pair_panel(a, b, min_n=4)
-    _, _, hi, right = _rank_counts(*panel.sorted_column(0), *panel.sorted_column(1))
+    _, _, hi, right, _ = _rank_counts(*panel.sorted_column(0), *panel.sorted_column(1))
     return _se_from_counts(hi, right, panel.n)
 
 
 def pair_stats(panel: LossPanel, m: int, projection: str = "symmetrized",
-               ties: TieStreams | None = None) -> PairStats:
+               ties: TieStreams | None = None, mirror: dict | None = None) -> PairStats:
     """Rank-sum statistics of reference model m against every competitor.
 
     ``projection`` selects the bootstrap score construction:
@@ -244,6 +256,15 @@ def pair_stats(panel: LossPanel, m: int, projection: str = "symmetrized",
     Tie coins come from ``ties.pair(id_m, id_j)``, keyed by the two model
     ids, so each pair's stream is independent of evaluation order and of
     column positions; it is only requested for a pair with a tied cell.
+
+    ``mirror`` lets one panel's calls, made for references in increasing
+    order with one projection, count each tie-free pair once. Off ties
+    1{a_k < b_l} = 1 - 1{b_l < a_k}, so reference j's counts against m
+    are m's counts against j mirrored; the call for m stores them under
+    (j, m) for every later j, while they fit in ``_MIRROR_BYTES``, and
+    the call for j pops them instead of counting. Results are
+    bit-identical with or without it. Tied pairs are always counted,
+    since their coins depend on the pair's direction.
     """
     if projection not in ("row_only", "symmetrized"):
         raise ContractError(f"unknown projection mode: {projection!r}")
@@ -260,20 +281,36 @@ def pair_stats(panel: LossPanel, m: int, projection: str = "symmetrized",
     a_sorted, a_order = panel.sorted_column(m)
     ids = panel.model_ids
     symmetrized = projection == "symmetrized"
+    # A mirrored psi numerator is an integer in [0, 2n].
+    count_type = np.min_scalar_type(2 * n)
+    entry_bytes = n * count_type.itemsize
     u = np.empty(p)
     se = np.empty(p)
     psi = np.empty((n, p))
     for idx, j in enumerate(competitors):
-        row, col, hi, right = _rank_counts(a_sorted, a_order, *panel.sorted_column(j),
-                                           partial(ties.pair, ids[m], ids[j]))
-        u_j = row.sum() / (n * n)
+        stored = None if mirror is None else mirror.pop((m, j), None)
+        if stored is not None:
+            wins, se[idx], part = stored
+        else:
+            row, col, hi, right, has_ties = _rank_counts(
+                a_sorted, a_order, *panel.sorted_column(j),
+                partial(ties.pair, ids[m], ids[j]))
+            wins = row.sum()
+            part = row + col if symmetrized else row
+            se[idx] = _se_from_counts(hi, right, n)
+            if (mirror is not None and j > m and not has_ties
+                    and (len(mirror) + 1) * entry_bytes <= _MIRROR_BYTES):
+                # j's row is n - col and its column n - row; its hi and
+                # right are m's right and hi, which leave se unchanged.
+                mirrored = 2 * n - part if symmetrized else n - col
+                mirror[(j, m)] = (n * n - wins, se[idx], mirrored.astype(count_type))
+        # Counts are integers below 2**53, so every sum here is exact.
+        u_j = wins / (n * n)
         mu_j = u_j - 0.5
         if symmetrized:
-            psi[:, idx] = (row + col) / n - 1.0 - 2.0 * mu_j
+            psi[:, idx] = part / n - 1.0 - 2.0 * mu_j
         else:
-            psi[:, idx] = row / n - 0.5 - mu_j
+            psi[:, idx] = part / n - 0.5 - mu_j
         u[idx] = u_j
-        se[idx] = _se_from_counts(hi, right, n)
     return PairStats(reference=m, competitors=np.array(competitors, dtype=int),
                      u=u, mu=u - 0.5, se=se, psi=psi)
-

@@ -69,6 +69,19 @@ class TestPanelCsvRoundTrip:
         with pytest.raises(DataError, match="line 3"):
             read_loss_panel_csv(path)
 
+    @pytest.mark.parametrize("rows, message", [
+        ([["1.0", "2.0"], ["inf", "oops"]], "line 3: column 'model_a' is not finite ('inf')"),
+        ([["1.0", "nan"], ["oops", "3.0"]], "line 2: column 'model_b' is not finite ('nan')"),
+        ([["1.0", "2.0"], ["x1", "-inf"]], "line 3: column 'model_a' is not numeric ('x1')"),
+        ([["1.0", " 2,5 "], ["nan", "3.0"]], "line 2: column 'model_b' is not numeric ('2,5')"),
+    ])
+    def test_first_bad_cell_in_row_order_is_reported(self, tmp_path, rows, message):
+        path = tmp_path / "bad.csv"
+        _write_csv(path, ["model_a", "model_b"], rows)
+        with pytest.raises(DataError) as info:
+            read_loss_panel_csv(path)
+        assert str(info.value) == message
+
     def test_ragged_row_names_line(self, tmp_path):
         path = tmp_path / "ragged.csv"
         with open(path, "w") as fh:
@@ -95,6 +108,13 @@ class TestReadXy:
         assert x.shape == (60, 2)
         assert names == ["x1", "x2"]
         assert y.shape == (60,)
+
+    def test_bad_response_cell_reported_before_features(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        _write_csv(path, ["x1", "y"], [[1.0, 2.0], ["oops", "nan"], [3.0, 4.0]])
+        with pytest.raises(DataError) as info:
+            read_xy_csv(path, "y")
+        assert str(info.value) == "line 3: column 'y' is not finite ('nan')"
 
     def test_missing_response_names_flag(self, data_csv):
         with pytest.raises(ConfigError, match="--response"):

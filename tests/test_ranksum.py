@@ -404,3 +404,76 @@ class TestTieStreamLaziness:
         assert ties.pairs == expected_pairs
         assert len(expected_pairs) == 6
         assert ties.coins == expected_coins
+
+
+@st.composite
+def mixed_panels(draw):
+    """Tie-free, 0/1 and duplicated columns together, in a drawn order."""
+    n = draw(st.integers(4, 48))
+    free = draw(arrays(np.float64, (n, draw(st.integers(1, 3))),
+                       elements=st.floats(-1e3, 1e3, allow_nan=False,
+                                          allow_subnormal=False),
+                       unique=True))
+    binary = draw(arrays(np.float64, (n, draw(st.integers(1, 2))),
+                         elements=st.integers(0, 1).map(float)))
+    losses = np.column_stack([free, binary])
+    losses = np.column_stack([losses, losses[:, draw(st.integers(0, losses.shape[1] - 1))]])
+    losses = losses[:, draw(st.permutations(range(losses.shape[1])))]
+    return LossPanel(losses=losses, model_ids=tuple(f"c{j}" for j in range(losses.shape[1])))
+
+
+def _mirror_cap(cap):
+    return mock.patch.object(ranksum, "_MIRROR_BYTES", cap)
+
+
+class TestMirror:
+    @settings(max_examples=40, deadline=None)
+    @given(panel=st.one_of(loss_panels(), mixed_panels()),
+           seed=st.integers(0, 2**32 - 1),
+           projection=st.sampled_from(("row_only", "symmetrized")))
+    def test_pair_stats_bit_identical_to_counting_every_pair(self, panel, seed, projection):
+        mirror = {}
+        for m in range(panel.n_models):
+            got = pair_stats(panel, m, projection, TieStreams(seed, 9), mirror)
+            with _mirror_cap(0):
+                want = pair_stats(panel, m, projection, TieStreams(seed, 9), {})
+            assert np.array_equal(got.u, want.u)
+            assert np.array_equal(got.se, want.se)
+            assert np.array_equal(got.psi, want.psi)
+        assert mirror == {}
+
+    @pytest.mark.parametrize("projection", ["row_only", "symmetrized"])
+    def test_tie_free_panel_counts_each_pair_once(self, projection):
+        rng = np.random.default_rng(55)
+        panel = LossPanel(losses=rng.standard_normal((30, 5)),
+                          model_ids=tuple("abcde"))
+        counted = []
+        real = ranksum._rank_counts
+
+        def counting(*args, **kwargs):
+            counted.append(1)
+            return real(*args, **kwargs)
+
+        mirror = {}
+        with mock.patch.object(ranksum, "_rank_counts", counting):
+            for m in range(panel.n_models):
+                pair_stats(panel, m, projection, mirror=mirror)
+        assert len(counted) == 5 * 4 // 2
+        assert mirror == {}
+
+    def test_pending_bytes_stay_under_the_cap(self):
+        rng = np.random.default_rng(57)
+        panel = LossPanel(losses=rng.standard_normal((40, 6)),
+                          model_ids=tuple("abcdef"))
+        entry = 40 * np.min_scalar_type(80).itemsize
+        cap = 3 * entry + 1
+        mirror, pending = {}, []
+        with _mirror_cap(cap):
+            for m in range(panel.n_models):
+                got = pair_stats(panel, m, mirror=mirror)
+                pending.append(sum(e[2].nbytes for e in mirror.values()))
+                want = pair_stats(panel, m)
+                assert np.array_equal(got.psi, want.psi)
+                assert np.array_equal(got.se, want.se)
+        assert max(pending) == 3 * entry
+        assert mirror == {}

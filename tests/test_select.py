@@ -6,14 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
-from test_ranksum import loss_panels
+from test_ranksum import _CountingTieStreams, loss_panels, mixed_panels
 
 from ranksel import (Candidate, ContractError, Dataset, LossFn, LossPanel,
                      SelectionConfig, cv_select, cvc_style_select, fit_ols,
                      make_folds, panel_from_folds,
                      TieStreams, pair_stats, pcv_select, rsr_from_panel, rsr_split,
                      rsr_vfold, screen)
-from ranksel import bootstrap, select
+from ranksel import bootstrap, ranksum, select
 from ranksel.errors import LearnerError
 from ranksel.ranksum import PSI_CENTERING_TOL
 from ranksel.rng import model_key, subseed
@@ -296,6 +296,59 @@ class TestRsrFromPanel:
         assert t_obs == math.sqrt(n) * stats.mu[1]
         assert round(t_obs, 3) == 0.766
         assert round(math.sqrt(n) * stats.mu.min(), 3) == 0.150
+
+
+class TestRsrMirror:
+    """rsr_from_panel counts each tie-free pair once, from its first reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(panel=st.one_of(loss_panels(), mixed_panels()),
+           seed=st.integers(0, 2**32 - 1),
+           projection=st.sampled_from(("row_only", "symmetrized")),
+           screening=st.booleans())
+    def test_bit_identical_to_counting_every_pair(self, panel, seed, projection,
+                                                  screening):
+        cfg = SelectionConfig(seed=seed, projection=projection,
+                              screening_enabled=screening)
+        with mock.patch.object(ranksum, "_MIRROR_BYTES", 0):
+            want = rsr_from_panel(panel, cfg).to_dict()
+        assert rsr_from_panel(panel, cfg).to_dict() == want
+
+    def test_one_mirror_per_call_emptied_by_the_last_reference(self):
+        rng = np.random.default_rng(61)
+        losses = np.column_stack([rng.standard_normal((60, 4)),
+                                  rng.integers(0, 2, size=(60, 2))])
+        panel = _panel(np.column_stack([losses, losses[:, 0]]))
+        mirrors, sizes = [], []
+        real = select.pair_stats
+
+        def recording(*args, mirror, **kwargs):
+            mirrors.append(mirror)
+            out = real(*args, mirror=mirror, **kwargs)
+            sizes.append(len(mirror))
+            return out
+
+        with mock.patch.object(select, "pair_stats", recording):
+            rsr_from_panel(panel, SelectionConfig(seed=3))
+        assert len(mirrors) == panel.n_models
+        assert all(mirror is mirrors[0] for mirror in mirrors)
+        assert max(sizes) > 0
+        assert mirrors[0] == {}
+
+    def test_tied_pairs_open_one_stream_per_direction(self):
+        rng = np.random.default_rng(63)
+        binary = rng.integers(0, 2, size=(50, 2)).astype(float)
+        free = 5.0 + rng.standard_normal((50, 2))
+        panel = _panel(np.column_stack([binary, free, free[:, 1]]), ids=tuple("abcde"))
+        made = []
+
+        def counting(*args):
+            made.append(_CountingTieStreams(*args))
+            return made[-1]
+
+        with mock.patch.object(select, "TieStreams", counting):
+            rsr_from_panel(panel, SelectionConfig(seed=3))
+        assert sorted(made[0].pairs) == [("a", "b"), ("b", "a"), ("d", "e"), ("e", "d")]
 
 
 BOOT_TAGS = {rsr_from_panel: TAG_RSR_BOOT, pcv_select: TAG_PCV_BOOT,

@@ -5,9 +5,9 @@
 
 Two groups. ``cli`` runs ``ranksel`` in-process on small seeded inputs and
 hashes every file it writes that the change under test might touch:
-``report.json`` and ``pvalues.csv`` of ``panel`` on a tie-free and a 0/1
-loss panel (default, ``--no-screening``, ``--projection row_only``) and of
-``select`` at ``--folds 0`` and ``--folds 5``, plus ``aggregate.json``,
+``report.json`` and ``pvalues.csv`` of ``panel`` on a tie-free, a 0/1 and
+a mixed loss panel (default, ``--no-screening``, ``--projection row_only``)
+and of ``select`` at ``--folds 0`` and ``--folds 5``, plus ``aggregate.json``,
 ``replicates.csv``, ``setsize_vs_n.dat`` and ``rates.dat`` of ``simulate
 case1`` at n = 40 with 3 replicates and of ``simulate case2`` at (200, 200)
 with 1 replicate (the Huber-lasso path solver; about ten seconds). The runs
@@ -70,6 +70,15 @@ def _write_inputs() -> None:
     ties = (rng.random((300, 6)) < rates).astype(float)
     write_loss_panel_csv("ties.csv", LossPanel(
         losses=ties, model_ids=tuple(f"m{j:02d}" for j in range(6))))
+    # Tie-free, integer-valued and duplicate columns in one panel, so tie-free
+    # pairs and tied pairs (a copy ties everywhere) meet in every reference.
+    mixed_rng = np.random.default_rng(402)
+    free = np.abs(mixed_rng.standard_cauchy((300, 4))) + np.linspace(0.0, 1.5, 4)
+    counts = mixed_rng.integers(0, 4, size=(300, 3)).astype(float)
+    mixed = np.column_stack([free[:, :2], counts[:, 0], free[:, 2:], free[:, 1],
+                             counts[:, 1:]])
+    write_loss_panel_csv("mixed.csv", LossPanel(
+        losses=mixed, model_ids=tuple(f"m{j:02d}" for j in range(8))))
     x = rng.standard_normal((80, 3))
     y = 1.0 + x @ np.array([2.0, 0.0, -1.0]) + rng.standard_t(2, size=80)
     with open("xy.csv", "w", newline="", encoding="utf-8") as fh:
@@ -84,7 +93,7 @@ def _write_inputs() -> None:
 
 def _cli_runs():
     """(name, argv, output files to hash) for each pinned CLI run."""
-    for panel in ("cont", "ties"):
+    for panel in ("cont", "ties", "mixed"):
         for mode, flags in PANEL_MODES:
             name = f"panel_{panel}_{mode}"
             yield name, ["panel", "--losses", f"{panel}.csv", *flags, "--seed", "7",
