@@ -102,12 +102,20 @@ def read_loss_panel_csv(path) -> LossPanel:
         raise ConfigError(
             f"{path} has {len(header)} column(s); a loss panel needs at least 2"
         )
-    ids = [h[len(PANEL_PREFIX):] if h.startswith(PANEL_PREFIX) else h
-           for h in header]
-    if len(rows) < 2:
-        raise DataError(f"{path} has {len(rows)} data row(s); need at least 2")
+    columns: dict[str, int] = {}
+    for col, name in enumerate(header, start=1):
+        mid = name[len(PANEL_PREFIX):] if name.startswith(PANEL_PREFIX) else name
+        if not mid:
+            raise DataError(f"{path}: column {col} ({name!r}) gives an empty model id")
+        if mid in columns:
+            raise DataError(f"{path}: columns {columns[mid]} and {col} both give "
+                            f"model id {mid!r}")
+        columns[mid] = col
     losses = _parse_rows(rows, header, range(len(header)))
-    return LossPanel(losses=losses, model_ids=tuple(ids))
+    # RSR needs 4 points; checked after the cells, so a bad cell is named first.
+    if len(rows) < 4:
+        raise DataError(f"{path} has {len(rows)} data row(s); need at least 4")
+    return LossPanel(losses=losses, model_ids=tuple(columns))
 
 
 def read_xy_csv(path, response: str):

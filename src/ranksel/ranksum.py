@@ -11,23 +11,24 @@ ties are resolved by an independent fair coin per tied pair. Centered
 values mu = u - 1/2, per-observation projection scores, and standard
 errors feed the Gaussian multiplier bootstrap in :mod:`ranksel.bootstrap`.
 
-Cost: a panel sorts each of its M columns once (``LossPanel.sorted_column``);
-each pair then costs one binary search with sorted needles (two if the
-pair has a tie), O(n) counting and scatters back to index order. Across
-one panel's references, a tie-free pair is counted once per unordered
-pair: its counts for the later reference are the earlier one's mirrored,
-kept up to ``_MIRROR_BYTES`` (see :func:`pair_stats`). Tie coins
-cost O(tied cells) and are only drawn, from a stream created on demand,
-for pairs that have a tied cell; they are drawn in chunks of whole rows,
-so the working memory of a tie-heavy pair is bounded by the chunk size,
-not by its tied-cell count. A brute-force O(n^2) evaluation with the same
-tie stream produces bit-identical results (the tests rely on this).
+Cost: a panel ranks all of its nM losses together once (dense ranks, so
+equal losses share a rank). One reference's counts against all p = M - 1
+competitors then come from one pass over (p, n) integer arrays: the
+reference's cumulative count over the d distinct ranks, gathered at the
+competitors' ranks, and one per-competitor ``bincount`` + ``cumsum``. Its
+working memory is O(d + nM), with no search and no loop over pairs
+without ties. Tie coins cost O(tied cells) and are only drawn, from a
+stream created on demand, for pairs that have a tied cell; they are drawn
+in chunks of whole rows, so the working memory of a tie-heavy pair is
+bounded by the chunk size, not by its tied-cell count. A brute-force
+O(n^2) evaluation with the same tie stream produces bit-identical results
+(the tests rely on this).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -46,11 +47,6 @@ PSI_CENTERING_TOL = 1e-12
 # together up to this many coins (a single wider row is drawn on its own).
 # Bounds the per-chunk buffers on tie-heavy panels such as 0/1 losses.
 _COIN_CHUNK = 1 << 16
-
-# Most bytes of mirrored counts that ``pair_stats`` keeps pending for
-# later references; past it, pairs are counted directly. Bounds the
-# memory of a large-M panel, whose pending cells grow as M^2 n / 4.
-_MIRROR_BYTES = 32 << 20
 
 
 @dataclass(frozen=True)
@@ -89,16 +85,15 @@ class LossPanel:
         return self.losses[:, j]
 
     @cached_property
-    def _column_sorts(self) -> tuple[np.ndarray, np.ndarray]:
-        cols = self.losses.T
-        # stable => equal values stay in index order
-        order = np.argsort(cols, axis=1, kind="stable")
-        return np.take_along_axis(cols, order, axis=1), order
+    def _ranks(self) -> tuple[np.ndarray, int]:
+        """Dense ranks of all losses, one row per column, and their count d."""
+        values, inverse = np.unique(self.losses.T, return_inverse=True)
+        return inverse.reshape(self.n_models, self.n), values.size
 
-    def sorted_column(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Column j's sorted values and stable argsort, computed once per panel."""
-        values, order = self._column_sorts
-        return values[j], order[j]
+    @cached_property
+    def _orders(self) -> np.ndarray:
+        """Each column's stable argsort, one row per column (tied pairs only)."""
+        return np.argsort(self._ranks[0], axis=1, kind="stable")
 
 
 @dataclass(frozen=True)
@@ -131,41 +126,50 @@ def _pair_panel(a, b, min_n: int) -> LossPanel:
     return LossPanel(losses=np.column_stack([a, b]), model_ids=("a", "b"))
 
 
-def _rank_counts(a_sorted, a_order, b_sorted, b_order, ties=None):
-    """Win counts of 1{a_k < b_l} from both samples' sorted values and orders.
+def _at_or_below(counts: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """out[j, k] = #{l : counts[j, l] <= own[k]}, one bincount for all rows."""
+    p, n = counts.shape
+    keys = counts + (n + 1) * np.arange(p)[:, None]
+    cum = np.bincount(keys.ravel(), minlength=p * (n + 1)).reshape(p, n + 1)
+    # take, not [:, own]: the result stays C-ordered, so each row sums as 1-D.
+    return np.take(cum.cumsum(axis=1, dtype=counts.dtype), own, axis=1)
 
-    Returns, each in original index order: row[k] = #{l : a_k beats b_l},
-    col[l] = #{k : a_k beats b_l}, hi[k] = #{l : b_l <= a_k} and
-    right[l] = #{k : a_k <= b_l}, then whether any a_k == b_l. An exact
-    tie is settled by a fair coin from the Generator that ``ties()``
-    returns; ``ties`` is called only when the pair has a tied cell. With
-    ``ties=None`` a tie counts for neither side (``hi`` and ``right``
-    never depend on coins).
+
+def _reference_counts(panel: LossPanel, m: int, stream=None):
+    """Win counts of reference column a = m against every other column b.
+
+    Returns the competitors; row[j, k] = #{l : a_k beats b_l} in a's index
+    order and col[j, l] = #{k : a_k beats b_l} in b's, as (p, n) floats,
+    one row per competitor; and each pair's standard error. An exact tie
+    is settled by a fair coin from the Generator that ``stream(j)``
+    returns; it is called only for a competitor with a tied cell, in
+    increasing j. With ``stream=None`` a tie counts for neither side (the
+    standard errors never depend on coins).
     """
-    n = a_sorted.size
-    hi_s = np.searchsorted(b_sorted, a_sorted, side="right")
-    # a_i ties iff it equals the largest b at or below it; hi_s[i] = 0 wraps
-    # to the largest b, which then exceeds a_i.
-    has_ties = bool((b_sorted[hi_s - 1] == a_sorted).any())
-    # In sorted positions: a_i < b_l iff hi_s[i] <= l, a_i <= b_l iff lo_s[i] <= l.
-    # Without ties lo_s is hi_s, so one count serves both sides.
-    right_s = np.cumsum(np.bincount(hi_s, minlength=n + 1)[:n])
-    col_s = right_s.astype(float)
-    if has_ties:
-        lo_s = np.searchsorted(b_sorted, a_sorted, side="left")
-        right_s = np.cumsum(np.bincount(lo_s, minlength=n + 1)[:n])
-    hi = np.empty(n, dtype=np.intp)
-    hi[a_order] = hi_s
-    row = (n - hi).astype(float)
-    if ties is not None and has_ties:
-        lo = np.empty(n, dtype=np.intp)
-        lo[a_order] = lo_s
-        _add_tie_wins(row, col_s, lo, hi, ties())
-    col = np.empty(n)
-    col[b_order] = col_s
-    right = np.empty(n, dtype=np.intp)
-    right[b_order] = right_s
-    return row, col, hi, right, has_ties
+    n = panel.n
+    ranks, d = panel._ranks
+    competitors = np.delete(np.arange(panel.n_models), m)
+    # below[r] = #{k : rank(a_k) < r}, so below[r_b] counts the a below b
+    # and below[r_b + 1] those at or below it. Counts fit n's smallest type.
+    below = np.bincount(ranks[m] + 1, minlength=d + 1).astype(np.min_scalar_type(n))
+    np.cumsum(below, out=below)
+    own = below[ranks[m]]          # a_k's first position in a's sorted order
+    others = ranks[competitors]
+    col, right = below[others], below[1:][others]
+    # b_l <= a_k iff col[l] <= own[k]; b_l < a_k iff right[l] <= own[k].
+    hi = _at_or_below(col, own)
+    se = _se_from_counts(hi, right, n)
+    tied = np.flatnonzero((col != right).any(axis=1)) if stream is not None else ()
+    row = np.subtract(n, hi, dtype=float)
+    col = col.astype(float)
+    for idx in tied:
+        lo = _at_or_below(right[idx:idx + 1], own)[0]
+        order = panel._orders[competitors[idx]]
+        col_sorted = col[idx, order]
+        _add_tie_wins(row[idx], col_sorted, lo.astype(np.intp), hi[idx].astype(np.intp),
+                      stream(competitors[idx]))
+        col[idx, order] = col_sorted
+    return competitors, row, col, se
 
 
 def _add_tie_wins(row, col_sorted, lo, hi, gen: np.random.Generator) -> None:
@@ -203,13 +207,17 @@ def _add_tie_wins(row, col_sorted, lo, hi, gen: np.random.Generator) -> None:
         start = stop
 
 
-def _se_from_counts(hi: np.ndarray, right: np.ndarray, n: int) -> float:
+def _se_from_counts(hi: np.ndarray, right: np.ndarray, n: int) -> np.ndarray:
+    """Standard error per row of (p, n) counts; each row sums as a 1-D array."""
     # x.sum() / n is the same IEEE operation as np.mean(x), at less overhead.
     x = right / n           # F_a(b_i), right-closed
     y = hi / n              # F_b(a_i)
-    cov = float((x * y).sum() / n - (x.sum() / n) * (y.sum() / n))
-    variance = max(VARIANCE_FLOOR, 1.0 / 6.0 - 2.0 * cov)
-    return float(np.sqrt(variance / n))
+    mean_x = x.sum(axis=1) / n
+    mean_y = y.sum(axis=1) / n
+    x *= y
+    cov = x.sum(axis=1) / n - mean_x * mean_y
+    variance = np.maximum(VARIANCE_FLOOR, 1.0 / 6.0 - 2.0 * cov)
+    return np.sqrt(variance / n)
 
 
 def ranksum_u(a, b, ties: np.random.Generator | None = None) -> float:
@@ -222,9 +230,9 @@ def ranksum_u(a, b, ties: np.random.Generator | None = None) -> float:
     """
     panel = _pair_panel(a, b, min_n=2)
     # Without a stream, a fixed one keeps the call reproducible.
-    stream = (lambda: keyed_stream(0)) if ties is None else (lambda: ties)
-    row, *_ = _rank_counts(*panel.sorted_column(0), *panel.sorted_column(1), stream)
-    return float(row.sum() / (panel.n * panel.n))
+    stream = (lambda j: keyed_stream(0)) if ties is None else (lambda j: ties)
+    _, row, _, _ = _reference_counts(panel, 0, stream)
+    return float(row[0].sum() / (panel.n * panel.n))
 
 
 def se_ranksum(a, b) -> float:
@@ -236,12 +244,12 @@ def se_ranksum(a, b) -> float:
     screening z-scores finite when the two samples are co-monotone.
     """
     panel = _pair_panel(a, b, min_n=4)
-    _, _, hi, right, _ = _rank_counts(*panel.sorted_column(0), *panel.sorted_column(1))
-    return _se_from_counts(hi, right, panel.n)
+    _, _, _, se = _reference_counts(panel, 0)
+    return float(se[0])
 
 
 def pair_stats(panel: LossPanel, m: int, projection: str = "symmetrized",
-               ties: TieStreams | None = None, mirror: dict | None = None) -> PairStats:
+               ties: TieStreams | None = None) -> PairStats:
     """Rank-sum statistics of reference model m against every competitor.
 
     ``projection`` selects the bootstrap score construction:
@@ -257,14 +265,9 @@ def pair_stats(panel: LossPanel, m: int, projection: str = "symmetrized",
     ids, so each pair's stream is independent of evaluation order and of
     column positions; it is only requested for a pair with a tied cell.
 
-    ``mirror`` lets one panel's calls, made for references in increasing
-    order with one projection, count each tie-free pair once. Off ties
-    1{a_k < b_l} = 1 - 1{b_l < a_k}, so reference j's counts against m
-    are m's counts against j mirrored; the call for m stores them under
-    (j, m) for every later j, while they fit in ``_MIRROR_BYTES``, and
-    the call for j pops them instead of counting. Results are
-    bit-identical with or without it. Tied pairs are always counted,
-    since their coins depend on the pair's direction.
+    All competitors are counted in one pass over (p, n) arrays; every sum
+    then runs along one competitor's contiguous row, the same 1-D sum as
+    for a single pair, so results do not depend on M or column order.
     """
     if projection not in ("row_only", "symmetrized"):
         raise ContractError(f"unknown projection mode: {projection!r}")
@@ -275,42 +278,17 @@ def pair_stats(panel: LossPanel, m: int, projection: str = "symmetrized",
         raise ContractError(f"reference index {m} out of range")
     if ties is None:
         ties = TieStreams(0)
-    competitors = [j for j in range(panel.n_models) if j != m]
-    p = len(competitors)
-
-    a_sorted, a_order = panel.sorted_column(m)
     ids = panel.model_ids
+    competitors, row, col, se = _reference_counts(
+        panel, m, lambda j: ties.pair(ids[m], ids[j]))
+    # Counts are integers below 2**53, so every sum here is exact.
+    u = row.sum(axis=1) / (n * n)
+    mu = u - 0.5
     symmetrized = projection == "symmetrized"
-    # A mirrored psi numerator is an integer in [0, 2n].
-    count_type = np.min_scalar_type(2 * n)
-    entry_bytes = n * count_type.itemsize
-    u = np.empty(p)
-    se = np.empty(p)
-    psi = np.empty((n, p))
-    for idx, j in enumerate(competitors):
-        stored = None if mirror is None else mirror.pop((m, j), None)
-        if stored is not None:
-            wins, se[idx], part = stored
-        else:
-            row, col, hi, right, has_ties = _rank_counts(
-                a_sorted, a_order, *panel.sorted_column(j),
-                partial(ties.pair, ids[m], ids[j]))
-            wins = row.sum()
-            part = row + col if symmetrized else row
-            se[idx] = _se_from_counts(hi, right, n)
-            if (mirror is not None and j > m and not has_ties
-                    and (len(mirror) + 1) * entry_bytes <= _MIRROR_BYTES):
-                # j's row is n - col and its column n - row; its hi and
-                # right are m's right and hi, which leave se unchanged.
-                mirrored = 2 * n - part if symmetrized else n - col
-                mirror[(j, m)] = (n * n - wins, se[idx], mirrored.astype(count_type))
-        # Counts are integers below 2**53, so every sum here is exact.
-        u_j = wins / (n * n)
-        mu_j = u_j - 0.5
-        if symmetrized:
-            psi[:, idx] = part / n - 1.0 - 2.0 * mu_j
-        else:
-            psi[:, idx] = part / n - 0.5 - mu_j
-        u[idx] = u_j
-    return PairStats(reference=m, competitors=np.array(competitors, dtype=int),
-                     u=u, mu=u - 0.5, se=se, psi=psi)
+    if symmetrized:
+        row += col
+    # (n, p) scores in place, in the order of part / n - 1.0 - 2.0 * mu.
+    psi = np.divide(row.T, n, out=np.empty((n, competitors.size)))
+    psi -= 1.0 if symmetrized else 0.5
+    psi -= 2.0 * mu if symmetrized else mu
+    return PairStats(reference=m, competitors=competitors, u=u, mu=mu, se=se, psi=psi)

@@ -187,8 +187,8 @@ def _select_loop(panel: LossPanel, config: SelectionConfig, method: str,
 
 
 def _rsr_evidence(panel: LossPanel, config: SelectionConfig, ties: TieStreams,
-                  mirror: dict, m: int) -> _Evidence:
-    stats = pair_stats(panel, m, projection=config.projection, ties=ties, mirror=mirror)
+                  m: int) -> _Evidence:
+    stats = pair_stats(panel, m, projection=config.projection, ties=ties)
     if config.screening_enabled:
         keep = screen(stats.mu, stats.se, panel.n_models, config.alpha_screen, config.s)
     else:
@@ -232,11 +232,8 @@ def rsr_from_panel(panel: LossPanel, config: SelectionConfig,
                    method: str = "rsr_vfold") -> ConfidenceSet:
     """Rank-sum confidence set computed directly from a loss panel."""
     ties = TieStreams(config.seed, TAG_RSR_TIES)
-    # Tie-free pairs' counts, mirrored for the later reference of each pair;
-    # _select_loop visits references in increasing order, which empties it.
-    mirror: dict = {}
     return _select_loop(panel, config, method, TAG_RSR_BOOT,
-                        partial(_rsr_evidence, panel, config, ties, mirror))
+                        partial(_rsr_evidence, panel, config, ties))
 
 
 def pcv_select(panel: LossPanel, config: SelectionConfig) -> ConfidenceSet:

@@ -245,6 +245,34 @@ class TestCliPanel:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_three_rows_exit_3_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "three.csv"
+        _write_csv(path, ["model_a", "model_b"], [[1.0, 2.0], [2.0, 1.0], [3.0, 0.5]])
+        rc = main(["panel", "--losses", str(path), "--seed", "1",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert f"{path} has 3 data row(s); need at least 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header, column, name", [
+        (["a", "", "c"], 2, "''"), (["model_a", "model_"], 2, "'model_'")])
+    def test_empty_model_id_exit_3(self, tmp_path, capsys, header, column, name):
+        path = tmp_path / "empty_id.csv"
+        _write_csv(path, header, np.arange(4.0 * len(header)).reshape(4, -1).tolist())
+        rc = main(["panel", "--losses", str(path), "--seed", "1",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert (f"{path}: column {column} ({name}) gives an empty model id"
+                in capsys.readouterr().err)
+
+    def test_duplicate_model_id_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        _write_csv(path, ["model_a", "b", "a"], np.arange(12.0).reshape(4, 3).tolist())
+        rc = main(["panel", "--losses", str(path), "--seed", "1",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert (f"{path}: columns 1 and 3 both give model id 'a'"
+                in capsys.readouterr().err)
+
     def test_defaults_echoed_in_params(self, panel_csv, tmp_path):
         out = tmp_path / "out"
         assert main(["panel", "--losses", str(panel_csv[0]), "--seed", "4",

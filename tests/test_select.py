@@ -6,14 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
-from test_ranksum import _CountingTieStreams, loss_panels, mixed_panels
+from test_ranksum import _CountingTieStreams, loss_panels
 
 from ranksel import (Candidate, ContractError, Dataset, LossFn, LossPanel,
                      SelectionConfig, cv_select, cvc_style_select, fit_ols,
                      make_folds, panel_from_folds,
                      TieStreams, pair_stats, pcv_select, rsr_from_panel, rsr_split,
                      rsr_vfold, screen)
-from ranksel import bootstrap, ranksum, select
+from ranksel import bootstrap, select
 from ranksel.errors import LearnerError
 from ranksel.ranksum import PSI_CENTERING_TOL
 from ranksel.rng import model_key, subseed
@@ -299,41 +299,7 @@ class TestRsrFromPanel:
 
 
 class TestRsrMirror:
-    """rsr_from_panel counts each tie-free pair once, from its first reference."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(panel=st.one_of(loss_panels(), mixed_panels()),
-           seed=st.integers(0, 2**32 - 1),
-           projection=st.sampled_from(("row_only", "symmetrized")),
-           screening=st.booleans())
-    def test_bit_identical_to_counting_every_pair(self, panel, seed, projection,
-                                                  screening):
-        cfg = SelectionConfig(seed=seed, projection=projection,
-                              screening_enabled=screening)
-        with mock.patch.object(ranksum, "_MIRROR_BYTES", 0):
-            want = rsr_from_panel(panel, cfg).to_dict()
-        assert rsr_from_panel(panel, cfg).to_dict() == want
-
-    def test_one_mirror_per_call_emptied_by_the_last_reference(self):
-        rng = np.random.default_rng(61)
-        losses = np.column_stack([rng.standard_normal((60, 4)),
-                                  rng.integers(0, 2, size=(60, 2))])
-        panel = _panel(np.column_stack([losses, losses[:, 0]]))
-        mirrors, sizes = [], []
-        real = select.pair_stats
-
-        def recording(*args, mirror, **kwargs):
-            mirrors.append(mirror)
-            out = real(*args, mirror=mirror, **kwargs)
-            sizes.append(len(mirror))
-            return out
-
-        with mock.patch.object(select, "pair_stats", recording):
-            rsr_from_panel(panel, SelectionConfig(seed=3))
-        assert len(mirrors) == panel.n_models
-        assert all(mirror is mirrors[0] for mirror in mirrors)
-        assert max(sizes) > 0
-        assert mirrors[0] == {}
+    """rsr_from_panel's tie streams: one per direction of each tied pair."""
 
     def test_tied_pairs_open_one_stream_per_direction(self):
         rng = np.random.default_rng(63)

@@ -5,8 +5,9 @@
 
 Two groups. ``cli`` runs ``ranksel`` in-process on small seeded inputs and
 hashes every file it writes that the change under test might touch:
-``report.json`` and ``pvalues.csv`` of ``panel`` on a tie-free, a 0/1 and
-a mixed loss panel (default, ``--no-screening``, ``--projection row_only``)
+``report.json`` and ``pvalues.csv`` of ``panel`` on a tie-free, a 0/1, a
+mixed and a wide (n = 60, M = 120) loss panel (default, ``--no-screening``,
+``--projection row_only``)
 and of ``select`` at ``--folds 0`` and ``--folds 5``, plus ``aggregate.json``,
 ``replicates.csv``, ``setsize_vs_n.dat`` and ``rates.dat`` of ``simulate
 case1`` at n = 40 with 3 replicates and of ``simulate case2`` at (200, 200)
@@ -79,6 +80,15 @@ def _write_inputs() -> None:
                              counts[:, 1:]])
     write_loss_panel_csv("mixed.csv", LossPanel(
         losses=mixed, model_ids=tuple(f"m{j:02d}" for j in range(8))))
+    # Many competitors per reference: tie-free, 0/1 and duplicate columns.
+    wide_rng = np.random.default_rng(403)
+    free = np.abs(wide_rng.standard_cauchy((60, 80))) + np.linspace(0.0, 2.0, 80)
+    binary = (wide_rng.random((60, 30)) < np.linspace(0.3, 0.5, 30)).astype(float)
+    wide = np.column_stack([free, binary])
+    wide = np.column_stack([wide, wide[:, wide_rng.choice(110, 10, replace=False)]])
+    wide = wide[:, wide_rng.permutation(120)]
+    write_loss_panel_csv("wide.csv", LossPanel(
+        losses=wide, model_ids=tuple(f"m{j:03d}" for j in range(120))))
     x = rng.standard_normal((80, 3))
     y = 1.0 + x @ np.array([2.0, 0.0, -1.0]) + rng.standard_t(2, size=80)
     with open("xy.csv", "w", newline="", encoding="utf-8") as fh:
@@ -93,7 +103,7 @@ def _write_inputs() -> None:
 
 def _cli_runs():
     """(name, argv, output files to hash) for each pinned CLI run."""
-    for panel in ("cont", "ties", "mixed"):
+    for panel in ("cont", "ties", "mixed", "wide"):
         for mode, flags in PANEL_MODES:
             name = f"panel_{panel}_{mode}"
             yield name, ["panel", "--losses", f"{panel}.csv", *flags, "--seed", "7",
