@@ -13,10 +13,10 @@ the same scale. p-values count draws strictly below the observed value.
 
 The multipliers do not depend on psi, so one (B, n) block can serve many
 tests: a ``BootstrapConfig`` draws its block on first use and hands the
-same block to every later bootstrap run with it. A selection call makes
-one config and shares its block across all reference models; each
-p-value stays marginally valid, and the block lives only as long as the
-config.
+same block to every later bootstrap run with it. Each p-value stays
+marginally valid. ``run_min_bootstrap`` also takes many tests at once: their
+psi columns side by side in one block, with the number of columns each
+owns, so one product with the multipliers serves them all.
 """
 
 from __future__ import annotations
@@ -72,14 +72,8 @@ class BootstrapResult:
     p_value: float
 
 
-def multiplier_min_bootstrap(psi, config: BootstrapConfig) -> np.ndarray:
-    """B draws of the min-statistic under Gaussian multipliers.
-
-    psi must have (near) mean-zero columns; the same multiplier vector is
-    applied to every column within a draw. Draw b is a pure function of
-    (config.seed, b), so results do not depend on scheduling; calls with
-    the same config and n reuse one multiplier block.
-    """
+def _checked_product(psi, config: BootstrapConfig) -> np.ndarray:
+    """The (B, p) product of the multipliers with psi, once psi is checked."""
     psi = np.asarray(psi, dtype=float)
     if psi.ndim != 2:
         raise ContractError("psi must be an n x p matrix")
@@ -93,7 +87,18 @@ def multiplier_min_bootstrap(psi, config: BootstrapConfig) -> np.ndarray:
         raise ContractError(
             f"psi columns are not centered (max |mean| = {col_means.max():.3e})"
         )
-    return (config.multipliers(n) @ psi).min(axis=1) / math.sqrt(n)
+    return config.multipliers(n) @ psi
+
+
+def multiplier_min_bootstrap(psi, config: BootstrapConfig) -> np.ndarray:
+    """B draws of the min-statistic under Gaussian multipliers.
+
+    psi must have (near) mean-zero columns; the same multiplier vector is
+    applied to every column within a draw. Draw b is a pure function of
+    (config.seed, b), so results do not depend on scheduling; calls with
+    the same config and n reuse one multiplier block.
+    """
+    return _checked_product(psi, config).min(axis=1) / math.sqrt(np.shape(psi)[0])
 
 
 def p_value(t_obs: float, draws) -> float:
@@ -104,15 +109,30 @@ def p_value(t_obs: float, draws) -> float:
     return float(np.sum(draws < float(t_obs)) / draws.size)
 
 
-def run_min_bootstrap(mu, psi, config: BootstrapConfig) -> BootstrapResult:
-    """Observed statistic sqrt(n) * min(mu), draws, and the p-value."""
+def run_min_bootstrap(mu, psi, config: BootstrapConfig,
+                      sizes=None) -> list[BootstrapResult]:
+    """Observed statistic sqrt(n) * min(mu), draws and p-value of each test.
+
+    The columns of mu and psi are laid out test by test, ``sizes[r]`` of
+    them for test r (default: one test owning them all). The block is
+    checked and multiplied by the multipliers once; test r's draws are the
+    row minima over its own columns, as ``multiplier_min_bootstrap`` gives
+    them on those columns alone but for BLAS rounding in the wider product.
+    """
     mu = np.asarray(mu, dtype=float)
     psi = np.asarray(psi, dtype=float)
     if mu.ndim != 1 or psi.ndim != 2 or psi.shape[1] != mu.size:
         raise ContractError("mu and psi shapes are inconsistent")
-    t_obs = math.sqrt(psi.shape[0]) * float(mu.min())
-    draws = multiplier_min_bootstrap(psi, config)
-    return BootstrapResult(t_obs=t_obs, draws=draws, p_value=p_value(t_obs, draws))
+    sizes = np.array([mu.size] if sizes is None else sizes, dtype=int)
+    if sizes.ndim != 1 or sizes.size == 0 or sizes.min() < 1 or sizes.sum() != mu.size:
+        raise ContractError(
+            f"segment sizes {sizes.tolist()} must be positive and sum to {mu.size}")
+    starts = np.concatenate([[0], np.cumsum(sizes[:-1])])
+    root_n = math.sqrt(psi.shape[0])
+    t_obs = root_n * np.minimum.reduceat(mu, starts)
+    draws = np.minimum.reduceat(_checked_product(psi, config), starts, axis=1) / root_n
+    return [BootstrapResult(t_obs=float(t), draws=d, p_value=p_value(t, d))
+            for t, d in zip(t_obs, draws.T)]
 
 
 def normal_quantile(q: float) -> float:

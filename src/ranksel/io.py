@@ -53,7 +53,7 @@ def _parse_cell(raw: str, line_no: int, col_name: str) -> float:
 
 def _read_csv_rows(path):
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     with fh:

@@ -5,11 +5,13 @@ reference model m, an evidence function returns centered contrasts ``mu``
 against the competitors (positive favors m) with their per-observation
 scores ``psi``, or decides m's p-value outright. One loop,
 ``_select_loop``, bootstraps the minimum of ``mu`` with shared Gaussian
-multipliers and keeps m when its p-value reaches alpha. The loop draws one
-multiplier block per call, keyed by (seed, method tag), and every
-reference model's bootstrap reuses it; RSR's tie coins are keyed by model
-ids. Reordering a panel's columns therefore reorders the results and
-changes nothing else:
+multipliers and keeps m when its p-value reaches alpha. The multipliers
+are one block per ``SelectionConfig``, keyed by (seed, TAG_BOOT) and drawn
+on first use, so every method and every call run with that config sees
+the same block. The loop writes the undecided references' columns side by
+side and bootstraps them in one product per block of about a megabyte.
+RSR's tie coins are keyed by model ids. Reordering a panel's columns
+therefore reorders the results and changes nothing else:
 
 * ``rsr_from_panel``: generalized rank-sum pairs; optional screening drops
   competitors that m already beats overwhelmingly (all dropped: p = 1).
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -43,13 +45,15 @@ from .rng import TieStreams, keyed_stream, subseed
 # Key-path tags; every random stream hangs off (seed, tag, ...).
 TAG_SPLIT = 101
 TAG_RSR_TIES = 102
-TAG_RSR_BOOT = 103
-TAG_PCV_BOOT = 105
-TAG_CVC_BOOT = 106
+TAG_BOOT = 103
 
 # Columns whose loss differences have essentially zero spread carry no
 # evidence; below this relative scale they are handled by sign instead.
 _DEGENERATE_SD = 1e-12
+
+# Byte cap on one bootstrap call's psi block and on its product with the
+# multipliers; a block still holds at least one reference's columns.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -78,6 +82,12 @@ class SelectionConfig:
             raise ContractError("V must be 0 (sample splitting) or >= 2")
         if self.projection not in ("row_only", "symmetrized"):
             raise ContractError(f"unknown projection mode: {self.projection!r}")
+
+    @cached_property
+    def bootstrap(self) -> BootstrapConfig:
+        """The multiplier bootstrap of every method run with this config:
+        one (B, n) block per panel size n, drawn on first use."""
+        return BootstrapConfig(B=self.B, seed=subseed(self.seed, TAG_BOOT))
 
 
 @dataclass(frozen=True)
@@ -163,15 +173,34 @@ class _Evidence(NamedTuple):
 
 
 def _select_loop(panel: LossPanel, config: SelectionConfig, method: str,
-                 boot_tag: int, evidence) -> ConfidenceSet:
-    """Bootstrap each reference model's evidence; keep m when p >= alpha."""
-    p_vals = np.zeros(panel.n_models)
+                 evidence) -> ConfidenceSet:
+    """Bootstrap each reference model's evidence; keep m when p >= alpha.
+
+    Undecided references' columns go side by side into one block, and each
+    full block (and the last) is bootstrapped in one call.
+    """
+    n_models = panel.n_models
+    p_vals = np.zeros(n_models)
     screened_out: dict[int, tuple[int, ...]] = {}
-    diagnostics: dict[int, dict] = {}
-    # One config for every reference: its multiplier block is drawn at most
-    # once per call and freed with it.
-    boot = BootstrapConfig(B=config.B, seed=subseed(config.seed, boot_tag))
-    for m in range(panel.n_models):
+    diagnostics: list[dict | None] = [None] * n_models
+    width = max(_BLOCK_BYTES // (8 * max(panel.n, config.B)), n_models - 1)
+    width = min(width, n_models * (n_models - 1))
+    mu_block = np.empty(width)
+    psi_block = np.empty((panel.n, width))
+    refs: list[int] = []
+    sizes: list[int] = []
+
+    def bootstrap_block():
+        used = sum(sizes)
+        results = run_min_bootstrap(mu_block[:used], psi_block[:, :used],
+                                    config.bootstrap, sizes)
+        for m, size, result in zip(refs, sizes, results):
+            p_vals[m] = result.p_value
+            diagnostics[m] = {"t_obs": result.t_obs, "n_cols": size}
+        refs.clear()
+        sizes.clear()
+
+    for m in range(n_models):
         ev = evidence(m)
         if ev.dropped is not None:
             screened_out[m] = ev.dropped
@@ -179,11 +208,19 @@ def _select_loop(panel: LossPanel, config: SelectionConfig, method: str,
             p_vals[m], t_obs = ev.decided
             diagnostics[m] = {"t_obs": t_obs, "n_cols": 0}
             continue
-        result = run_min_bootstrap(ev.mu, ev.psi, boot)
-        p_vals[m] = result.p_value
-        diagnostics[m] = {"t_obs": result.t_obs, "n_cols": ev.mu.size}
+        start = sum(sizes)
+        if start + ev.mu.size > width:
+            bootstrap_block()
+            start = 0
+        stop = start + ev.mu.size
+        mu_block[start:stop] = ev.mu
+        psi_block[:, start:stop] = ev.psi
+        refs.append(m)
+        sizes.append(ev.mu.size)
+    if refs:
+        bootstrap_block()
     return _assemble(method, panel.model_ids, config.alpha, p_vals,
-                     screened_out, [], diagnostics)
+                     screened_out, [], dict(enumerate(diagnostics)))
 
 
 def _rsr_evidence(panel: LossPanel, config: SelectionConfig, ties: TieStreams,
@@ -232,7 +269,7 @@ def rsr_from_panel(panel: LossPanel, config: SelectionConfig,
                    method: str = "rsr_vfold") -> ConfidenceSet:
     """Rank-sum confidence set computed directly from a loss panel."""
     ties = TieStreams(config.seed, TAG_RSR_TIES)
-    return _select_loop(panel, config, method, TAG_RSR_BOOT,
+    return _select_loop(panel, config, method,
                         partial(_rsr_evidence, panel, config, ties))
 
 
@@ -242,8 +279,7 @@ def pcv_select(panel: LossPanel, config: SelectionConfig) -> ConfidenceSet:
     A tie scores 1/2, a fair coin's mean, so no coin is drawn. A copy of m
     (mu = 0, psi = 0) carries no evidence and is dropped; none left: p = 1.
     """
-    return _select_loop(panel, config, "pcv", TAG_PCV_BOOT,
-                        partial(_pcv_evidence, panel))
+    return _select_loop(panel, config, "pcv", partial(_pcv_evidence, panel))
 
 
 def cvc_style_select(panel: LossPanel, config: SelectionConfig) -> ConfidenceSet:
@@ -255,8 +291,7 @@ def cvc_style_select(panel: LossPanel, config: SelectionConfig) -> ConfidenceSet
     decided by sign: a constant win for the competitor rejects m outright,
     a constant win or exact tie for m carries no evidence against it.
     """
-    return _select_loop(panel, config, "cvc_style", TAG_CVC_BOOT,
-                        partial(_cvc_evidence, panel))
+    return _select_loop(panel, config, "cvc_style", partial(_cvc_evidence, panel))
 
 
 def cv_select(panel_risk, model_ids=None, alpha: float = 0.1) -> ConfidenceSet:

@@ -116,9 +116,29 @@ class TestRunMinBootstrap:
         rng = np.random.default_rng(11)
         psi = _centered(rng, 36, 2)
         mu = np.array([0.2, -0.1])
-        res = run_min_bootstrap(mu, psi, BootstrapConfig(B=500, seed=5))
+        [res] = run_min_bootstrap(mu, psi, BootstrapConfig(B=500, seed=5))
         assert res.t_obs == pytest.approx(math.sqrt(36) * -0.1)
         assert res.p_value == p_value(res.t_obs, res.draws)
+
+    def test_segments_match_separate_runs(self):
+        rng = np.random.default_rng(12)
+        psi = _centered(rng, 40, 6)
+        mu = rng.standard_normal(6) / 10
+        cfg = BootstrapConfig(B=500, seed=8)
+        results = run_min_bootstrap(mu, psi, cfg, [2, 3, 1])
+        for res, cols in zip(results, (slice(0, 2), slice(2, 5), slice(5, 6))):
+            [alone] = run_min_bootstrap(mu[cols], psi[:, cols], cfg)
+            assert res.t_obs == alone.t_obs == math.sqrt(40) * mu[cols].min()
+            np.testing.assert_allclose(res.draws, alone.draws, rtol=0, atol=1e-12)
+            assert res.p_value == alone.p_value
+
+    @pytest.mark.parametrize("sizes", [[0, 3], [3, 0], [2, 0, 1], [1, 1], [2, 2],
+                                       [], [-1, 4]])
+    def test_bad_segment_sizes_rejected(self, sizes):
+        rng = np.random.default_rng(13)
+        psi = _centered(rng, 20, 3)
+        with pytest.raises(ContractError, match="segment sizes"):
+            run_min_bootstrap(np.zeros(3), psi, BootstrapConfig(B=500, seed=1), sizes)
 
 
 class TestNormalQuantile:

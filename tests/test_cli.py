@@ -16,8 +16,8 @@ NON_DEFAULT_FLAGS = ["--alpha-screen", "0.3", "--s", "0.5", "--B", "200",
                      "--projection", "row_only", "--no-screening"]
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
+def _write_csv(path, header, rows, encoding="utf-8"):
+    with open(path, "w", newline="", encoding=encoding) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -191,6 +191,23 @@ class TestCliSelect:
         assert rc == 2
         assert "--response" in capsys.readouterr().err
 
+    def test_byte_order_mark_before_the_response_column(self, tmp_path):
+        # A spreadsheet's UTF-8 export starts with a byte-order mark; it is
+        # not part of the first header, here the response's.
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((40, 2))
+        rows = np.column_stack([1.0 + x[:, 0] + rng.standard_normal(40), x]).tolist()
+        _write_csv(plain, ["y", "x1", "x2"], rows)
+        _write_csv(marked, ["y", "x1", "x2"], rows, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        for path in (plain, marked):
+            assert main(["select", "--data", str(path), "--response", "y",
+                         "--learners", "ols,huber", "--seed", "5",
+                         "--out", str(tmp_path / path.stem)]) == 0
+        assert ((tmp_path / "plain" / "pvalues.csv").read_bytes()
+                == (tmp_path / "marked" / "pvalues.csv").read_bytes())
+
     def test_unknown_learner_exit_2(self, data_csv, tmp_path):
         rc = main(["select", "--data", str(data_csv), "--response", "y",
                    "--learners", "magic", "--seed", "1",
@@ -223,6 +240,22 @@ class TestCliPanel:
         np.testing.assert_array_equal(np.array(got), expect.p_values)
         # dominated model c must be rejected
         assert "c" not in report["payload"]["confidence_set"]["selected_ids"]
+
+    def test_byte_order_mark_is_not_part_of_the_first_model_id(self, tmp_path):
+        rng = np.random.default_rng(4)
+        rows = np.abs(rng.standard_normal((20, 3))).tolist()
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        _write_csv(plain, ["model_a", "model_b", "model_c"], rows)
+        _write_csv(marked, ["model_a", "model_b", "model_c"], rows,
+                   encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        for path in (plain, marked):
+            assert main(["panel", "--losses", str(path), "--seed", "5",
+                         "--out", str(tmp_path / path.stem)]) == 0
+        report = json.loads((tmp_path / "marked" / "report.json").read_text())
+        assert report["payload"]["confidence_set"]["model_ids"] == ["a", "b", "c"]
+        assert ((tmp_path / "plain" / "pvalues.csv").read_bytes()
+                == (tmp_path / "marked" / "pvalues.csv").read_bytes())
 
     def test_nan_cell_exit_3(self, tmp_path):
         path = tmp_path / "nan.csv"

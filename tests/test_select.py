@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
-from test_ranksum import _CountingTieStreams, loss_panels
+from test_ranksum import _CountingTieStreams, loss_panels, mixed_panels
 
 from ranksel import (Candidate, ContractError, Dataset, LossFn, LossPanel,
                      SelectionConfig, cv_select, cvc_style_select, fit_ols,
@@ -14,10 +15,11 @@ from ranksel import (Candidate, ContractError, Dataset, LossFn, LossPanel,
                      TieStreams, pair_stats, pcv_select, rsr_from_panel, rsr_split,
                      rsr_vfold, screen)
 from ranksel import bootstrap, select
+from ranksel.bootstrap import multiplier_min_bootstrap, p_value
 from ranksel.errors import LearnerError
 from ranksel.ranksum import PSI_CENTERING_TOL
 from ranksel.rng import model_key, subseed
-from ranksel.select import TAG_CVC_BOOT, TAG_PCV_BOOT, TAG_RSR_BOOT, TAG_RSR_TIES
+from ranksel.select import TAG_BOOT, TAG_RSR_TIES
 
 
 def _panel(losses, ids=None):
@@ -317,8 +319,7 @@ class TestRsrMirror:
         assert sorted(made[0].pairs) == [("a", "b"), ("b", "a"), ("d", "e"), ("e", "d")]
 
 
-BOOT_TAGS = {rsr_from_panel: TAG_RSR_BOOT, pcv_select: TAG_PCV_BOOT,
-             cvc_style_select: TAG_CVC_BOOT}
+METHODS = (rsr_from_panel, pcv_select, cvc_style_select)
 
 
 def _loop_panels():
@@ -359,25 +360,30 @@ class TestSelectionLoop:
         panel = _panel(_loop_panels()[name])
         n_models = panel.n_models
         cfg = SelectionConfig(seed=23)
-        calls = []
+        segments = []
         real = select.run_min_bootstrap
 
-        def recording(mu, psi, boot):
-            calls.append((boot.seed, psi.shape[1], math.sqrt(psi.shape[0]) * mu.min()))
-            return real(mu, psi, boot)
+        def recording(mu, psi, boot, sizes):
+            # one config for every call, holding the seed contract
+            assert boot is cfg.bootstrap
+            assert boot.seed == subseed(cfg.seed, TAG_BOOT)
+            start = 0
+            for size in sizes:
+                seg = mu[start:start + size]
+                segments.append((size, math.sqrt(psi.shape[0]) * seg.min()))
+                start += size
+            return real(mu, psi, boot, sizes)
 
         with mock.patch.object(select, "run_min_bootstrap", recording):
             cs = method(panel, cfg)
         decided = self.DECIDED[(method, name)]
         # The loop visits references in index order and bootstraps every
-        # undecided one, so the calls belong to those references in turn;
-        # each call's own t_obs confirms which reference made it.
+        # undecided one, so the block segments belong to those references
+        # in turn; each segment's own t_obs confirms which reference it is.
         bootstrapped = [m for m in range(n_models) if m not in decided]
-        assert len(calls) == len(bootstrapped)
-        cols_by_ref = {m: cols for m, (_, cols, _) in zip(bootstrapped, calls)}
-        t_obs_by_ref = {m: t_obs for m, (_, _, t_obs) in zip(bootstrapped, calls)}
-        # one seed contract: every call shares the method's bootstrap seed
-        assert all(seed == subseed(cfg.seed, BOOT_TAGS[method]) for seed, _, _ in calls)
+        assert len(segments) == len(bootstrapped)
+        cols_by_ref = {m: cols for m, (cols, _) in zip(bootstrapped, segments)}
+        t_obs_by_ref = {m: t_obs for m, (_, t_obs) in zip(bootstrapped, segments)}
         assert sorted(cs.diagnostics) == list(range(n_models))
         for m, diag in cs.diagnostics.items():
             if m in decided:
@@ -398,16 +404,15 @@ class TestSelectionLoop:
             assert cs.screened_out == {}
 
     @pytest.mark.parametrize("method,name,draws",
-                             [(f, "dominant", 1) for f in BOOT_TAGS]
+                             [(f, "dominant", 1) for f in METHODS]
                              + [(cvc_style_select, "identical", 0)],
-                             ids=[f"{f.__name__}-dominant" for f in BOOT_TAGS]
+                             ids=[f"{f.__name__}-dominant" for f in METHODS]
                              + ["cvc_style_select-identical"])
     def test_one_multiplier_block_per_selection_call(self, method, name, draws):
-        # One block per call, shared by every reference (none when every
-        # reference is decided), and drawn again by a second identical call:
-        # nothing is cached across calls.
+        # A call on a new config draws the config's block once (not at all
+        # when every reference is decided); a second call on that config
+        # reuses it, and an equal new config draws its own again.
         panel = _panel(_loop_panels()[name])
-        cfg = SelectionConfig(seed=29)
         seeds = []
         real = bootstrap.multiplier_matrix
 
@@ -416,11 +421,36 @@ class TestSelectionLoop:
             return real(seed, b_draws, n)
 
         with mock.patch.object(bootstrap, "multiplier_matrix", counting):
+            cfg = SelectionConfig(seed=29)
             first = method(panel, cfg)
-            assert seeds == [subseed(cfg.seed, BOOT_TAGS[method])] * draws
+            assert seeds == [subseed(cfg.seed, TAG_BOOT)] * draws
             second = method(panel, cfg)
-        assert seeds == [subseed(cfg.seed, BOOT_TAGS[method])] * (2 * draws)
-        assert first.to_dict() == second.to_dict()
+            assert seeds == [subseed(cfg.seed, TAG_BOOT)] * draws
+            third = method(panel, SelectionConfig(seed=29))
+        assert seeds == [subseed(cfg.seed, TAG_BOOT)] * (2 * draws)
+        assert first.to_dict() == second.to_dict() == third.to_dict()
+
+    def test_one_multiplier_block_per_config(self):
+        # RSR, PCV and CVC share the config's one block, across repeated
+        # calls too; a new config (here an equal one) draws its own.
+        panel = _panel(_loop_panels()["dominant"])
+        seeds = []
+        real = bootstrap.multiplier_matrix
+
+        def counting(seed, b_draws, n):
+            seeds.append(seed)
+            return real(seed, b_draws, n)
+
+        with mock.patch.object(bootstrap, "multiplier_matrix", counting):
+            cfg = SelectionConfig(seed=29)
+            first = [method(panel, cfg).to_dict() for method in METHODS]
+            assert seeds == [subseed(cfg.seed, TAG_BOOT)]
+            again = [method(panel, cfg).to_dict() for method in METHODS]
+            assert seeds == [subseed(cfg.seed, TAG_BOOT)]
+            fresh_cfg = SelectionConfig(seed=29)
+            fresh = [method(panel, fresh_cfg).to_dict() for method in METHODS]
+        assert seeds == [subseed(cfg.seed, TAG_BOOT)] * 2
+        assert first == again == fresh
 
     @settings(max_examples=40, deadline=None)
     @given(panel=loss_panels(), seed=st.integers(0, 2**32 - 1),
@@ -428,14 +458,14 @@ class TestSelectionLoop:
     def test_bootstrapped_psi_is_centered(self, panel, seed, projection):
         real = select.run_min_bootstrap
 
-        def checking(mu, psi, boot):
-            assert psi.shape == (panel.n, mu.size)
+        def checking(mu, psi, boot, sizes):
+            assert psi.shape == (panel.n, mu.size) and sum(sizes) == mu.size
             assert np.all(np.abs(psi.mean(axis=0)) <= PSI_CENTERING_TOL * panel.n)
-            return real(mu, psi, boot)
+            return real(mu, psi, boot, sizes)
 
         cfg = SelectionConfig(seed=seed, projection=projection)
         with mock.patch.object(select, "run_min_bootstrap", checking):
-            for method in BOOT_TAGS:
+            for method in METHODS:
                 method(panel, cfg)
 
     @settings(max_examples=40, deadline=None)
@@ -454,6 +484,81 @@ class TestSelectionLoop:
         assert pcv_select(mapped, cfg).to_dict() == pcv_select(panel, cfg).to_dict()
 
 
+def _evidence_of(method, panel, cfg):
+    """Reference m's evidence as ``method`` computes it, one at a time."""
+    if method is rsr_from_panel:
+        ties = TieStreams(cfg.seed, TAG_RSR_TIES)
+        return lambda m: select._rsr_evidence(panel, cfg, ties, m)
+    if method is pcv_select:
+        return lambda m: select._pcv_evidence(panel, m)
+    return lambda m: select._cvc_evidence(panel, m)
+
+
+class TestBlockedBootstrap:
+    """The loop's blocked bootstrap against one bootstrap per reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(panel=st.one_of(loss_panels(), mixed_panels()),
+           seed=st.integers(0, 2**32 - 1), extra=st.integers(0, 6))
+    def test_blocks_match_per_reference_bootstraps(self, panel, seed, extra):
+        cfg = SelectionConfig(seed=seed)
+        # Blocks of M - 1 + extra columns: one reference always fits, two
+        # seldom do, so blocks split mid-panel.
+        width = panel.n_models - 1 + extra
+        results, widths = [], []
+        real = select.run_min_bootstrap
+
+        def recording(mu, psi, boot, sizes):
+            widths.append(mu.size)
+            out = real(mu, psi, boot, sizes)
+            results.extend(out)
+            return out
+
+        for method in METHODS:
+            results.clear()
+            widths.clear()
+            with mock.patch.object(select, "_BLOCK_BYTES",
+                                   8 * max(panel.n, cfg.B) * width), \
+                    mock.patch.object(select, "run_min_bootstrap", recording):
+                cs = method(panel, cfg)
+            assert max(widths, default=0) <= width
+            evidence = _evidence_of(method, panel, cfg)
+            blocked = iter(results)
+            for m in range(panel.n_models):
+                ev = evidence(m)
+                if ev.decided is not None:
+                    assert cs.p_values[m] == ev.decided[0]
+                    continue
+                got = next(blocked)
+                draws = multiplier_min_bootstrap(ev.psi, cfg.bootstrap)
+                t_obs = math.sqrt(panel.n) * ev.mu.min()
+                # BLAS may round a column differently inside a wider product
+                np.testing.assert_allclose(got.draws, draws, rtol=0, atol=1e-12)
+                assert got.t_obs == cs.diagnostics[m]["t_obs"] == t_obs
+                assert got.p_value == cs.p_values[m] == p_value(t_obs, draws)
+            assert next(blocked, None) is None
+
+    def test_peak_memory_is_bounded_by_the_block_cap(self):
+        # A wide panel bootstraps 60 * 59 columns. Held at once, as one
+        # concatenated block, they take 11 MB and their product with the
+        # multipliers 14 MB. Blocked, the peak is the multipliers, one psi
+        # block and its product (each within the cap), and one reference's
+        # pass (under 80 bytes per panel cell, as TestReferencePassMemory
+        # bounds it).
+        n, n_models = 400, 60
+        rng = np.random.default_rng(71)
+        panel = _panel(np.abs(rng.standard_cauchy((n, n_models))))
+        cfg = SelectionConfig(seed=71, screening_enabled=False)
+        tracemalloc.start()
+        try:
+            cs = rsr_from_panel(panel, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cs.bootstrap_columns == n_models * (n_models - 1)
+        assert peak < 8 * cfg.B * n + 2 * select._BLOCK_BYTES + 80 * n * n_models
+
+
 def _order_panels():
     rng = np.random.default_rng(27)
     n = 300
@@ -467,12 +572,12 @@ def _order_panels():
 
 
 class TestColumnOrder:
-    """Tie coins are keyed by model id and the multipliers by method, so
+    """Tie coins are keyed by model id and the multipliers by seed alone, so
     reordering a panel's columns reorders every result and nothing else."""
 
     @pytest.mark.parametrize("projection", ("row_only", "symmetrized"))
     @pytest.mark.parametrize("name", ("tie_free", "binary"))
-    @pytest.mark.parametrize("method", list(BOOT_TAGS), ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("method", METHODS, ids=lambda f: f.__name__)
     def test_permuting_columns_permutes_results(self, method, name, projection):
         losses = _order_panels()[name]
         n_models = losses.shape[1]

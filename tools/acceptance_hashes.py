@@ -14,8 +14,9 @@ case1`` at n = 40 with 3 replicates and of ``simulate case2`` at (200, 200)
 with 1 replicate (the Huber-lasso path solver; about ten seconds). The runs
 work in a fresh temporary directory through relative paths, so the input
 paths that ``report.json`` echoes are the same on every run. The CLI does
-not run PCV, so ``pcv_cont`` and ``pcv_ties`` hash the sorted-key JSON of
-``pcv_select(...).to_dict()`` on the same two panels at seed 7.
+not run PCV or CVC, so ``pcv_cont``, ``pcv_ties``, ``cvc_cont`` and
+``cvc_ties`` hash the sorted-key JSON of ``pcv_select(...).to_dict()`` and
+``cvc_style_select(...).to_dict()`` on the same two panels at seed 7.
 
 ``acceptance`` hashes the aggregates tests/test_acceptance.py builds, from
 its own config helpers, at ACCEPT_SEED and threads=2: criterion 2's JSON,
@@ -41,8 +42,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 import test_acceptance as acc  # noqa: E402
 
-from ranksel import (LossPanel, SelectionConfig, pcv_select, run_case1,  # noqa: E402
-                     run_case2)
+from ranksel import (LossPanel, SelectionConfig, cvc_style_select,  # noqa: E402
+                     pcv_select, run_case1, run_case2)
 from ranksel.cli import main as ranksel_main  # noqa: E402
 from ranksel.io import read_loss_panel_csv, write_loss_panel_csv  # noqa: E402
 
@@ -131,10 +132,11 @@ def cli_hashes():
                     raise RuntimeError(f"ranksel {' '.join(argv)} exited {code}")
                 for file in files:
                     yield f"{name}/{file}", _digest(Path(name, file).read_bytes())
-            for panel in ("cont", "ties"):
-                cs = pcv_select(read_loss_panel_csv(f"{panel}.csv"), SelectionConfig(seed=7))
-                yield f"pcv_{panel}", _digest(
-                    json.dumps(cs.to_dict(), sort_keys=True).encode("utf-8"))
+            for name, method in (("pcv", pcv_select), ("cvc", cvc_style_select)):
+                for panel in ("cont", "ties"):
+                    cs = method(read_loss_panel_csv(f"{panel}.csv"), SelectionConfig(seed=7))
+                    yield f"{name}_{panel}", _digest(
+                        json.dumps(cs.to_dict(), sort_keys=True).encode("utf-8"))
         finally:
             os.chdir(cwd)
 
