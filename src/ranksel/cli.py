@@ -73,8 +73,6 @@ def _selection_options(parser, include_folds=True):
     if include_folds:
         parser.add_argument("--folds", type=int, default=5,
                             help="V-fold count; 0 = plain sample splitting")
-    parser.add_argument("--projection", choices=("symmetrized", "row_only"),
-                        default="symmetrized")
     parser.add_argument("--no-screening", action="store_true")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--out", required=True)
@@ -121,7 +119,6 @@ def _selection_config(args) -> SelectionConfig:
         return SelectionConfig(seed=args.seed, alpha=args.alpha,
                                alpha_screen=args.alpha_screen, s=args.s, B=args.B,
                                V=getattr(args, "folds", 0),
-                               projection=args.projection,
                                screening_enabled=not args.no_screening)
     except ContractError as exc:
         raise ConfigError(str(exc)) from None
@@ -131,7 +128,7 @@ def _settings_echo(config: SelectionConfig) -> dict:
     """The selection settings that report.json echoes, read back from the
     validated config; `select` adds its fold count and loss."""
     return {"alpha": config.alpha, "alpha_screen": config.alpha_screen,
-            "s": config.s, "B": config.B, "projection": config.projection,
+            "s": config.s, "B": config.B,
             "screening": config.screening_enabled}
 
 

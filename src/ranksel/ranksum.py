@@ -248,18 +248,16 @@ def se_ranksum(a, b) -> float:
     return float(se[0])
 
 
-def pair_stats(panel: LossPanel, m: int, projection: str = "symmetrized",
-               ties: TieStreams | None = None) -> PairStats:
+def pair_stats(panel: LossPanel, m: int, ties: TieStreams | None = None) -> PairStats:
     """Rank-sum statistics of reference model m against every competitor.
 
-    ``projection`` selects the bootstrap score construction:
+    The bootstrap score of each competitor j is the full two-part
+    projection of the rank-sum kernel xi(k, l) = 1{a_k < b_l}:
 
-    * ``"row_only"``: psi_k = (1/n) sum_l xi(k, l) - mu, the one-sided
-      row-mean score.
-    * ``"symmetrized"`` (default): psi_k adds the column-mean part,
-      (1/n) sum_l xi(k, l) + (1/n) sum_i xi(i, k) - 2 mu, the full
-      two-part projection whose empirical variance matches the
-      dependent-sample variance formula behind :func:`se_ranksum`.
+        psi_k = (1/n) sum_l xi(k, l) + (1/n) sum_i xi(i, k) - 1 - 2 mu,
+
+    its row part plus the competitor's column part. Its empirical variance
+    matches the dependent-sample variance formula behind :func:`se_ranksum`.
 
     Tie coins come from ``ties.pair(id_m, id_j)``, keyed by the two model
     ids, so each pair's stream is independent of evaluation order and of
@@ -269,8 +267,6 @@ def pair_stats(panel: LossPanel, m: int, projection: str = "symmetrized",
     then runs along one competitor's contiguous row, the same 1-D sum as
     for a single pair, so results do not depend on M or column order.
     """
-    if projection not in ("row_only", "symmetrized"):
-        raise ContractError(f"unknown projection mode: {projection!r}")
     n = panel.n
     if n < 4:
         raise ContractError("pair_stats needs n >= 4 evaluation points")
@@ -284,11 +280,9 @@ def pair_stats(panel: LossPanel, m: int, projection: str = "symmetrized",
     # Counts are integers below 2**53, so every sum here is exact.
     u = row.sum(axis=1) / (n * n)
     mu = u - 0.5
-    symmetrized = projection == "symmetrized"
-    if symmetrized:
-        row += col
-    # (n, p) scores in place, in the order of part / n - 1.0 - 2.0 * mu.
+    row += col
+    # (n, p) scores in place, in the order of (row + col) / n - 1.0 - 2.0 * mu.
     psi = np.divide(row.T, n, out=np.empty((n, competitors.size)))
-    psi -= 1.0 if symmetrized else 0.5
-    psi -= 2.0 * mu if symmetrized else mu
+    psi -= 1.0
+    psi -= 2.0 * mu
     return PairStats(reference=m, competitors=competitors, u=u, mu=mu, se=se, psi=psi)

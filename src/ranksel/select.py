@@ -66,7 +66,6 @@ class SelectionConfig:
     s: float = 0.01
     B: int = 500
     V: int = 5
-    projection: str = "symmetrized"
     screening_enabled: bool = True
 
     def __post_init__(self):
@@ -74,14 +73,12 @@ class SelectionConfig:
             raise ContractError(f"alpha must be in (0, 1), got {self.alpha}")
         if not 0.0 < self.alpha_screen < 1.0:
             raise ContractError(f"alpha_screen must be in (0, 1), got {self.alpha_screen}")
-        if self.s <= 0:
-            raise ContractError("screening exponent s must be positive")
+        if not (math.isfinite(self.s) and self.s > 0):
+            raise ContractError(f"screening exponent s must be finite and > 0, got {self.s}")
         if int(self.B) < 100:
             raise ContractError(f"B must be >= 100, got {self.B}")
         if self.V != 0 and self.V < 2:
             raise ContractError("V must be 0 (sample splitting) or >= 2")
-        if self.projection not in ("row_only", "symmetrized"):
-            raise ContractError(f"unknown projection mode: {self.projection!r}")
 
     @cached_property
     def bootstrap(self) -> BootstrapConfig:
@@ -225,7 +222,7 @@ def _select_loop(panel: LossPanel, config: SelectionConfig, method: str,
 
 def _rsr_evidence(panel: LossPanel, config: SelectionConfig, ties: TieStreams,
                   m: int) -> _Evidence:
-    stats = pair_stats(panel, m, projection=config.projection, ties=ties)
+    stats = pair_stats(panel, m, ties=ties)
     if config.screening_enabled:
         keep = screen(stats.mu, stats.se, panel.n_models, config.alpha_screen, config.s)
     else:

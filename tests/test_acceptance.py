@@ -154,8 +154,7 @@ def test_criterion_04_gaussian_approximation():
     rng = keyed_stream(ACCEPT_SEED, 41)
     panel = LossPanel(losses=np.abs(rng.standard_normal((n, p + 1))),
                       model_ids=tuple(f"c{j}" for j in range(p + 1)))
-    stats = pair_stats(panel, 0, projection="symmetrized",
-                       ties=TieStreams(ACCEPT_SEED, 42))
+    stats = pair_stats(panel, 0, ties=TieStreams(ACCEPT_SEED, 42))
     draws = multiplier_min_bootstrap(stats.psi,
                                      BootstrapConfig(B=b_draws, seed=ACCEPT_SEED))
     mc_vals = np.empty(mc_reps)

@@ -13,7 +13,7 @@ from ranksel.io import (RunConfig, parse_config_file, read_loss_panel_csv,
 
 # Every selection flag shared by `select` and `panel`, each off its default.
 NON_DEFAULT_FLAGS = ["--alpha-screen", "0.3", "--s", "0.5", "--B", "200",
-                     "--projection", "row_only", "--no-screening"]
+                     "--no-screening"]
 
 
 def _write_csv(path, header, rows, encoding="utf-8"):
@@ -181,8 +181,7 @@ class TestCliSelect:
         report = json.loads((out / "report.json").read_text())
         assert report["config"]["params"] == {
             "alpha": 0.1, "alpha_screen": 0.3, "s": 0.5, "B": 200, "folds": 0,
-            "projection": "row_only", "screening": False, "loss": "absolute",
-            "tau": 0.0}
+            "screening": False, "loss": "absolute", "tau": 0.0}
 
     def test_missing_response_exit_2(self, data_csv, tmp_path, capsys):
         rc = main(["select", "--data", str(data_csv), "--response", "zz",
@@ -313,7 +312,7 @@ class TestCliPanel:
         report = json.loads((out / "report.json").read_text())
         assert report["config"]["params"] == {
             "alpha": 0.1, "alpha_screen": 0.1, "s": 0.01, "B": 500,
-            "projection": "symmetrized", "screening": True}
+            "screening": True}
 
     def test_flags_echoed_in_params(self, panel_csv, tmp_path):
         out = tmp_path / "out"
@@ -322,7 +321,7 @@ class TestCliPanel:
         report = json.loads((out / "report.json").read_text())
         assert report["config"]["params"] == {
             "alpha": 0.1, "alpha_screen": 0.3, "s": 0.5, "B": 200,
-            "projection": "row_only", "screening": False}
+            "screening": False}
 
     def test_numerical_failure_exit_4(self, panel_csv, tmp_path, monkeypatch):
         from ranksel.errors import LearnerError
@@ -337,12 +336,19 @@ class TestCliPanel:
         assert rc == 4
 
 
+def _selection_argv(command, data_csv, panel_csv):
+    if command == "select":
+        return ["select", "--data", str(data_csv), "--response", "y",
+                "--learners", "ols,huber"]
+    return ["panel", "--losses", str(panel_csv[0])]
+
+
 INVALID_SELECTION_FLAGS = [
     (command, flags)
     for command in ("select", "panel")
     for flags in (["--alpha", "1.5"], ["--alpha-screen", "0"], ["--s=-1"],
-                  ["--B", "50"], ["--folds", "1"], ["--tau=-1"], ["--tau=0"],
-                  ["--tau=inf"], ["--tau=nan"])
+                  ["--s=nan"], ["--s=inf"], ["--B", "50"], ["--folds", "1"],
+                  ["--tau=-1"], ["--tau=0"], ["--tau=inf"], ["--tau=nan"])
     # panel has neither folds nor a loss to tune
     if not (command == "panel" and flags[0].startswith(("--folds", "--tau")))
 ]
@@ -353,15 +359,20 @@ INVALID_SELECTION_FLAGS = [
 def test_invalid_selection_flag_exit_2(command, flags, data_csv, panel_csv, tmp_path,
                                        capsys):
     out = tmp_path / "out"
-    if command == "select":
-        argv = ["select", "--data", str(data_csv), "--response", "y",
-                "--learners", "ols,huber"]
-    else:
-        argv = ["panel", "--losses", str(panel_csv[0])]
-    rc = main(argv + flags + ["--seed", "1", "--out", str(out)])
+    rc = main(_selection_argv(command, data_csv, panel_csv)
+              + flags + ["--seed", "1", "--out", str(out)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("ranksel: ")
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("command,mode", [("panel", "row_only"), ("select", "symmetrized")])
+def test_projection_flag_is_refused(command, mode, data_csv, panel_csv, tmp_path):
+    # RSR bootstraps one score, the full two-part projection; no flag picks another.
+    with pytest.raises(SystemExit) as exc:
+        main(_selection_argv(command, data_csv, panel_csv)
+             + ["--projection", mode, "--seed", "1", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
 
 
 class TestCliSimulate:

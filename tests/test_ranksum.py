@@ -159,9 +159,8 @@ class TestPairStats:
     def test_psi_columns_centered_both_modes(self):
         rng = np.random.default_rng(31)
         panel = _toy_panel(rng, n=10, m=3, integer=True)
-        for mode in ("row_only", "symmetrized"):
-            stats = pair_stats(panel, 0, projection=mode, ties=TieStreams(3))
-            assert np.abs(stats.psi.mean(axis=0)).max() <= 1e-12 * panel.n
+        stats = pair_stats(panel, 0, ties=TieStreams(3))
+        assert np.abs(stats.psi.mean(axis=0)).max() <= 1e-12 * panel.n
 
     def test_u_matches_bruteforce_with_ties(self):
         rng = np.random.default_rng(33)
@@ -179,17 +178,13 @@ class TestPairStats:
         panel = _toy_panel(rng, n=16, m=3, integer=True)
         m, n = 0, panel.n
         ids = panel.model_ids
-        for mode in ("row_only", "symmetrized"):
-            stats = pair_stats(panel, m, projection=mode, ties=TieStreams(5))
-            for idx, j in enumerate(stats.competitors):
-                row, col = brute_pair_sums(panel.column(m), panel.column(int(j)),
-                                           rng=TieStreams(5).pair(ids[m], ids[j]))
-                mu = row.sum() / n**2
-                if mode == "row_only":
-                    expect = row / n - mu
-                else:
-                    expect = row / n + col / n - 2 * mu
-                np.testing.assert_allclose(stats.psi[:, idx], expect, atol=1e-12)
+        stats = pair_stats(panel, m, ties=TieStreams(5))
+        for idx, j in enumerate(stats.competitors):
+            row, col = brute_pair_sums(panel.column(m), panel.column(int(j)),
+                                       rng=TieStreams(5).pair(ids[m], ids[j]))
+            mu = row.sum() / n**2
+            expect = row / n + col / n - 2 * mu
+            np.testing.assert_allclose(stats.psi[:, idx], expect, atol=1e-12)
 
     def test_identical_columns_mu_small(self):
         rng = np.random.default_rng(37)
@@ -215,7 +210,7 @@ class TestPairStats:
         losses = np.column_stack([np.abs(base + 0.3 * rng.standard_normal(n)),
                                   np.abs(base + 0.3 * rng.standard_normal(n))])
         panel = LossPanel(losses=losses, model_ids=("a", "b"))
-        stats = pair_stats(panel, 0, projection="symmetrized", ties=TieStreams(1))
+        stats = pair_stats(panel, 0, ties=TieStreams(1))
         psi_var = float(stats.psi[:, 0].var())
         target = n * float(stats.se[0] ** 2)
         assert psi_var == pytest.approx(target, rel=0.15)
@@ -243,23 +238,19 @@ class TestLossPanel:
 # as it was. It re-sorts b for every pair, draws one ``random`` call per
 # tied row and rebuilds both empirical CDFs for the standard error.
 
-def _oracle_win_counts(a, b, ties, want_cols):
+def _oracle_win_counts(a, b, ties):
     n = a.size
     order = np.argsort(b, kind="stable")
     b_sorted = b[order]
     hi = np.searchsorted(b_sorted, a, side="right")
     lo = np.searchsorted(b_sorted, a, side="left")
     row = (n - hi).astype(float)
-    col = None
-    if want_cols:
-        a_sorted = np.sort(a)
-        col = np.searchsorted(a_sorted, b, side="left").astype(float)
+    col = np.searchsorted(np.sort(a), b, side="left").astype(float)
     for k in np.nonzero(hi > lo)[0]:
         tied_idx = order[lo[k]:hi[k]]
         wins = ties.random(tied_idx.size) < 0.5
         row[k] += wins.sum()
-        if want_cols:
-            np.add.at(col, tied_idx[wins], 1.0)
+        np.add.at(col, tied_idx[wins], 1.0)
     return row, col
 
 
@@ -271,24 +262,20 @@ def _oracle_se(a, b):
     return float(np.sqrt(max(1e-6, 1.0 / 6.0 - 2.0 * cov) / n))
 
 
-def _oracle_pair_stats(panel, m, projection, ties):
+def _oracle_pair_stats(panel, m, ties):
     n = panel.n
     a = panel.column(m)
     ids = panel.model_ids
     competitors = [j for j in range(panel.n_models) if j != m]
-    symmetrized = projection == "symmetrized"
     u = np.empty(len(competitors))
     se = np.empty(len(competitors))
     psi = np.empty((n, len(competitors)))
     for idx, j in enumerate(competitors):
         b = panel.column(j)
-        row, col = _oracle_win_counts(a, b, ties.pair(ids[m], ids[j]), symmetrized)
+        row, col = _oracle_win_counts(a, b, ties.pair(ids[m], ids[j]))
         u_j = row.sum() / (n * n)
         mu_j = u_j - 0.5
-        if symmetrized:
-            psi[:, idx] = (row + col) / n - 1.0 - 2.0 * mu_j
-        else:
-            psi[:, idx] = row / n - 0.5 - mu_j
+        psi[:, idx] = (row + col) / n - 1.0 - 2.0 * mu_j
         u[idx] = u_j
         se[idx] = _oracle_se(a, b)
     return u, se, psi
@@ -346,15 +333,12 @@ class TestPanelEngineMatchesOracle:
     @given(panel=st.one_of(loss_panels(), mixed_panels()), seed=st.integers(0, 2**32 - 1))
     def test_pair_stats_bit_identical(self, chunk, panel, seed):
         with _coin_chunk(chunk):
-            for projection in ("row_only", "symmetrized"):
-                for m in range(panel.n_models):
-                    stats = pair_stats(panel, m, projection=projection,
-                                       ties=TieStreams(seed, 9))
-                    u, se, psi = _oracle_pair_stats(panel, m, projection,
-                                                    TieStreams(seed, 9))
-                    assert np.array_equal(stats.u, u)
-                    assert np.array_equal(stats.se, se)
-                    assert np.array_equal(stats.psi, psi)
+            for m in range(panel.n_models):
+                stats = pair_stats(panel, m, ties=TieStreams(seed, 9))
+                u, se, psi = _oracle_pair_stats(panel, m, TieStreams(seed, 9))
+                assert np.array_equal(stats.u, u)
+                assert np.array_equal(stats.se, se)
+                assert np.array_equal(stats.psi, psi)
 
     @pytest.mark.parametrize("chunk", COIN_CHUNKS)
     @settings(max_examples=40, deadline=None)
@@ -375,15 +359,14 @@ class TestPanelEngineMatchesOracle:
         panel = LossPanel(losses=np.column_stack([a, b, c]), model_ids=("a", "b", "c"))
         ranks, d = panel._ranks
         assert d == 12 and len(set(ranks[0, [0, 1, 3]]) | set(ranks[1, [0, 2, 5]])) == 1
-        for projection in ("row_only", "symmetrized"):
-            for m in range(panel.n_models):
-                ties = _CountingTieStreams(13, 9)
-                stats = pair_stats(panel, m, projection=projection, ties=ties)
-                u, se, psi = _oracle_pair_stats(panel, m, projection, TieStreams(13, 9))
-                assert np.array_equal(stats.u, u)
-                assert np.array_equal(stats.se, se)
-                assert np.array_equal(stats.psi, psi)
-                assert len(ties.pairs) == (m < 2)
+        for m in range(panel.n_models):
+            ties = _CountingTieStreams(13, 9)
+            stats = pair_stats(panel, m, ties=ties)
+            u, se, psi = _oracle_pair_stats(panel, m, TieStreams(13, 9))
+            assert np.array_equal(stats.u, u)
+            assert np.array_equal(stats.se, se)
+            assert np.array_equal(stats.psi, psi)
+            assert len(ties.pairs) == (m < 2)
         assert ranksum_u(a, b, ties=keyed_stream(3)) == brute_ranksum(a, b, rng=keyed_stream(3))
         assert se_ranksum(a, b) == _oracle_se(a, b)
 

@@ -6,8 +6,7 @@
 Two groups. ``cli`` runs ``ranksel`` in-process on small seeded inputs and
 hashes every file it writes that the change under test might touch:
 ``report.json`` and ``pvalues.csv`` of ``panel`` on a tie-free, a 0/1, a
-mixed and a wide (n = 60, M = 120) loss panel (default, ``--no-screening``,
-``--projection row_only``)
+mixed and a wide (n = 60, M = 120) loss panel (default and ``--no-screening``)
 and of ``select`` at ``--folds 0`` and ``--folds 5``, plus ``aggregate.json``,
 ``replicates.csv``, ``setsize_vs_n.dat`` and ``rates.dat`` of ``simulate
 case1`` at n = 40 with 3 replicates and of ``simulate case2`` at (200, 200)
@@ -17,6 +16,9 @@ paths that ``report.json`` echoes are the same on every run. The CLI does
 not run PCV or CVC, so ``pcv_cont``, ``pcv_ties``, ``cvc_cont`` and
 ``cvc_ties`` hash the sorted-key JSON of ``pcv_select(...).to_dict()`` and
 ``cvc_style_select(...).to_dict()`` on the same two panels at seed 7.
+``case1_n40_sets`` hashes, in order, the sorted-key JSON of every method's
+``ConfidenceSet.to_dict()`` in the replicates of ``case1.cfg``: a moved
+p-value shows there even when the study's set sizes, and so its files, do not.
 
 ``acceptance`` hashes the aggregates tests/test_acceptance.py builds, from
 its own config helpers, at ACCEPT_SEED and threads=2: criterion 2's JSON,
@@ -35,6 +37,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -43,9 +46,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 import test_acceptance as acc  # noqa: E402
 
 from ranksel import (LossPanel, SelectionConfig, cvc_style_select,  # noqa: E402
-                     pcv_select, run_case1, run_case2)
+                     pcv_select, run_case1, run_case2, simlab)
+from ranksel.cli import _case_config  # noqa: E402
 from ranksel.cli import main as ranksel_main  # noqa: E402
-from ranksel.io import read_loss_panel_csv, write_loss_panel_csv  # noqa: E402
+from ranksel.io import (parse_config_file, read_loss_panel_csv,  # noqa: E402
+                        write_loss_panel_csv)
 
 AGGREGATES = (
     ("crit2", lambda: acc._crit2_aggregate(threads=2)),
@@ -54,8 +59,7 @@ AGGREGATES = (
     ("case2", lambda: run_case2(acc.case2_config()).to_json()),
 )
 
-PANEL_MODES = (("default", []), ("no_screening", ["--no-screening"]),
-               ("row_only", ["--projection", "row_only"]))
+PANEL_MODES = (("default", []), ("no_screening", ["--no-screening"]))
 
 
 def _digest(data: bytes) -> str:
@@ -119,6 +123,23 @@ def _cli_runs():
             "aggregate.json", "replicates.csv", "setsize_vs_n.dat", "rates.dat")
 
 
+def _case1_sets() -> list[dict]:
+    """Every method's confidence set, in order, over the replicates of
+    ``case1.cfg``; records what ``simlab._select`` returns while it runs."""
+    config = _case_config("case1", parse_config_file("case1.cfg"))
+    select, sets = simlab._select, []
+
+    def recording(method, panel, sel_cfg):
+        cs = select(method, panel, sel_cfg)
+        sets.append(cs.to_dict())
+        return cs
+
+    with mock.patch.object(simlab, "_select", recording):
+        for rep in range(config.reps):
+            simlab.case1_replicate(config, rep)
+    return sets
+
+
 def cli_hashes():
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
@@ -137,6 +158,8 @@ def cli_hashes():
                     cs = method(read_loss_panel_csv(f"{panel}.csv"), SelectionConfig(seed=7))
                     yield f"{name}_{panel}", _digest(
                         json.dumps(cs.to_dict(), sort_keys=True).encode("utf-8"))
+            yield "case1_n40_sets", _digest(
+                json.dumps(_case1_sets(), sort_keys=True).encode("utf-8"))
         finally:
             os.chdir(cwd)
 
