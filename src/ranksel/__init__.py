@@ -11,7 +11,7 @@ from .ranksum import LossPanel, PairStats, pair_stats, ranksum_u, se_ranksum
 from .rng import TieStreams, keyed_stream, multiplier_matrix, subseed
 from .select import (Candidate, ConfidenceSet, SelectionConfig, cv_select,
                      cvc_style_select, make_folds, panel_from_folds, pcv_select,
-                     rsr_from_panel, rsr_split, rsr_vfold, screen)
+                     rsr_from_candidates, rsr_from_panel, screen)
 from .simlab import (AggregateReport, Case1Config, Case2Config, ar1_design,
                      run_case1, run_case2, sample_student_t, subset_candidates)
 

@@ -27,7 +27,7 @@ from .io import (ReportBundle, RunConfig, parse_config_file, read_loss_panel_csv
                  write_replicates_csv)
 from .models import (Dataset, LossFn, adaptive_tau, fit_huber_adaptive,
                      fit_huber_lasso, fit_ols, lambda_path, robust_scale)
-from .select import Candidate, SelectionConfig, rsr_from_panel, rsr_split, rsr_vfold
+from .select import Candidate, SelectionConfig, rsr_from_candidates, rsr_from_panel
 from .simlab import Case1Config, Case2Config, run_case1, run_case2
 
 # The lasso-tuning study in the source experiments runs at exactly these
@@ -51,7 +51,9 @@ LEARNERS = {
 
 def _candidates_from_names(names):
     cands = []
-    for name in names:
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise ConfigError(f"learner {name!r} is listed twice")
         if name not in LEARNERS:
             raise ConfigError(
                 f"unknown learner {name!r}; available: {', '.join(sorted(LEARNERS))}")
@@ -64,15 +66,12 @@ def _candidates_from_names(names):
     return cands
 
 
-def _selection_options(parser, include_folds=True):
+def _selection_options(parser):
     parser.add_argument("--alpha", type=float, default=0.1)
     parser.add_argument("--alpha-screen", type=float, default=0.1)
     parser.add_argument("--s", type=float, default=0.01,
                         help="screening threshold exponent")
     parser.add_argument("--B", type=int, default=500, help="bootstrap draws")
-    if include_folds:
-        parser.add_argument("--folds", type=int, default=5,
-                            help="V-fold count; 0 = plain sample splitting")
     parser.add_argument("--no-screening", action="store_true")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--out", required=True)
@@ -94,13 +93,15 @@ def build_parser() -> argparse.ArgumentParser:
                        default="huber")
     p_sel.add_argument("--tau", type=float, default=None,
                        help="Huber knee; default adapts to the response scale")
+    p_sel.add_argument("--folds", type=int, default=5,
+                       help="V-fold count; 0 = plain sample splitting")
     _selection_options(p_sel)
     p_sel.set_defaults(func=cmd_select)
 
     p_pan = sub.add_parser("panel", help="select directly from a loss panel CSV")
     p_pan.add_argument("--losses", required=True,
                        help="CSV of per-observation losses, one column per model")
-    _selection_options(p_pan, include_folds=False)
+    _selection_options(p_pan)
     p_pan.set_defaults(func=cmd_panel)
 
     p_sim = sub.add_parser("simulate", help="run a simulation study")
@@ -160,11 +161,8 @@ def cmd_select(args) -> int:
     data = Dataset(x=x, y=y)
     if loss is None:
         loss = LossFn("huber", tau=adaptive_tau(data.n, data.d, robust_scale(y)))
-    if config.V == 0:
-        cs = rsr_split(candidates, data, config, loss)
-    else:
-        cs = rsr_vfold(candidates, data, config, loss)
-    params = {**_settings_echo(config), "folds": config.V, "loss": loss.kind,
+    cs = rsr_from_candidates(candidates, data, config, loss)
+    params = {**_settings_echo(config), "folds": args.folds, "loss": loss.kind,
               "tau": float(loss.tau) if loss.tau else 0.0}
     run_cfg = RunConfig(command="select", seed=config.seed, data_path=args.data,
                         response=args.response, learners=names, params=params)

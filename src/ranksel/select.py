@@ -21,10 +21,11 @@ therefore reorders the results and changes nothing else:
   non-robust); a competitor's constant win rejects m outright.
 
 ``cv_select`` is plain argmin of average loss (singleton set).
-``rsr_split`` / ``rsr_vfold`` wrap training: they split the data (a sample
-split evaluates on the second fold of a 2-fold plan), fit every candidate,
-assemble the out-of-sample loss panel, and defer to ``rsr_from_panel``. A
-candidate whose learner fails is flagged and assigned p-value 0.
+``rsr_from_candidates`` wraps training: it splits the data (V = 0: one
+sample split, evaluated on the second fold of a 2-fold plan; V >= 2: V
+folds), fits every candidate, assembles the out-of-sample loss panel, and
+defers to ``rsr_from_panel``. A candidate whose learner fails is flagged
+and assigned p-value 0; candidate ids must be distinct.
 """
 
 from __future__ import annotations
@@ -69,6 +70,9 @@ class SelectionConfig:
     screening_enabled: bool = True
 
     def __post_init__(self):
+        # Seeds enter every key path modulo 2**64, so a wider range would alias.
+        if not 0 <= self.seed < 2**64:
+            raise ContractError(f"seed must be in [0, 2**64), got {self.seed}")
         if not 0.0 < self.alpha < 1.0:
             raise ContractError(f"alpha must be in (0, 1), got {self.alpha}")
         if not 0.0 < self.alpha_screen < 1.0:
@@ -352,6 +356,10 @@ def panel_from_folds(candidates, data: Dataset, folds, loss: LossFn):
     Returns (panel over the survivors or None if fewer than two, sorted
     failed ids).
     """
+    ids = [c.model_id for c in candidates]
+    for k, model_id in enumerate(ids):
+        if model_id in ids[:k]:
+            raise ContractError(f"candidate id {model_id!r} is repeated")
     rows = np.sort(np.concatenate(folds))
     all_idx = np.arange(data.n)
     preds = {c.model_id: np.empty(data.n) for c in candidates}
@@ -378,11 +386,20 @@ def panel_from_folds(candidates, data: Dataset, folds, loss: LossFn):
     return panel, sorted(failed)
 
 
-def _rsr_from_folds(candidates, data: Dataset, folds, config: SelectionConfig,
-                    loss: LossFn, method: str) -> ConfidenceSet:
-    """RSR on the out-of-fold panel, mapped back onto every candidate."""
+def rsr_from_candidates(candidates, data: Dataset, config: SelectionConfig,
+                        loss: LossFn) -> ConfidenceSet:
+    """RSR on the candidates' out-of-sample loss panel, mapped back onto
+    every candidate. ``config.V == 0`` trains on half and scores the other
+    half (method "rsr_split"); otherwise each point is scored by the model
+    trained without its fold (method "rsr_vfold")."""
     if len(candidates) < 2:
         raise ContractError("need at least two candidates")
+    if config.V == 0:
+        if data.n < 8:
+            raise ContractError("sample splitting needs at least 8 observations")
+        folds, method = make_folds(data.n, 2, config.seed)[1:], "rsr_split"
+    else:
+        folds, method = make_folds(data.n, config.V, config.seed), "rsr_vfold"
     panel, failed = panel_from_folds(candidates, data, folds, loss)
     all_ids = tuple(c.model_id for c in candidates)
     p_vals = np.zeros(len(all_ids))
@@ -406,21 +423,3 @@ def _rsr_from_folds(candidates, data: Dataset, folds, config: SelectionConfig,
     failed_idx = [i for i, mid in enumerate(all_ids) if mid in failed]
     return _assemble(method, all_ids, config.alpha, p_vals, screened_out,
                      failed_idx, diagnostics)
-
-
-def rsr_split(candidates, data: Dataset, config: SelectionConfig,
-              loss: LossFn) -> ConfidenceSet:
-    """Sample-splitting rank-sum selection: train on half, test on half."""
-    if data.n < 8:
-        raise ContractError("sample splitting needs at least 8 observations")
-    eval_idx = make_folds(data.n, 2, config.seed)[1]
-    return _rsr_from_folds(candidates, data, [eval_idx], config, loss, "rsr_split")
-
-
-def rsr_vfold(candidates, data: Dataset, config: SelectionConfig,
-              loss: LossFn) -> ConfidenceSet:
-    """V-fold rank-sum selection over out-of-fold losses on all points."""
-    if config.V < 2:
-        raise ContractError("rsr_vfold needs V >= 2; use rsr_split for V = 0")
-    folds = make_folds(data.n, config.V, config.seed)
-    return _rsr_from_folds(candidates, data, folds, config, loss, "rsr_vfold")

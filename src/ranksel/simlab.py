@@ -62,6 +62,8 @@ def _check_methods(methods):
     bad = [m for m in methods if m not in ALL_METHODS]
     if bad:
         raise ConfigError(f"unknown methods {bad}; choose from {ALL_METHODS}")
+    if len(set(methods)) < len(methods):
+        raise ConfigError(f"methods must not repeat, got {list(methods)}")
     if not methods:
         raise ConfigError("need at least one method")
     return methods
@@ -194,13 +196,13 @@ def subset_candidates(d: int = CASE1_D) -> list[Candidate]:
             for s in enumerate_subsets(d)]
 
 
-def _selection_config(case_cfg, seed: int, v_folds: int) -> SelectionConfig:
-    return SelectionConfig(seed=seed, alpha=case_cfg.alpha, B=case_cfg.B, V=v_folds,
+def _selection_config(case_cfg, seed: int) -> SelectionConfig:
+    return SelectionConfig(seed=seed, alpha=case_cfg.alpha, B=case_cfg.B,
                            screening_enabled=case_cfg.screening)
 
 
 def _check_study_settings(case_cfg, v_folds: int) -> None:
-    """Reject the replicate and worker counts, and alpha, B or the fold count
+    """Reject the replicate, worker and fold counts, and the seed, alpha or B
     by SelectionConfig's own bounds, before any replicate draws data or fits
     a learner. Both studies use V-fold panels, so sample splitting (V = 0)
     is refused too."""
@@ -211,7 +213,7 @@ def _check_study_settings(case_cfg, v_folds: int) -> None:
     if v_folds < 2:
         raise ConfigError(f"the study needs at least 2 folds, got {v_folds}")
     try:
-        _selection_config(case_cfg, case_cfg.seed, v_folds)
+        _selection_config(case_cfg, case_cfg.seed)
     except ContractError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -245,8 +247,7 @@ def case1_replicate(config: Case1Config, rep: int) -> list[dict]:
     if panel is None:
         raise ConfigError("fewer than two candidates survived training")
     true_id = subset_mask_id(CASE1_TRUE_SUBSET, d)
-    sel_cfg = _selection_config(config, subseed(config.seed, TAG_C1_SELECT, rep),
-                                config.V)
+    sel_cfg = _selection_config(config, subseed(config.seed, TAG_C1_SELECT, rep))
 
     rows = []
     for method in config.methods:
@@ -346,8 +347,7 @@ def case2_replicate(config: Case2Config, rep: int) -> list[dict]:
 
     panel = LossPanel(losses=huber_losses,
                       model_ids=tuple(_lambda_id(j) for j in range(k)))
-    sel_cfg = _selection_config(config, subseed(config.seed, TAG_C2_SELECT, rep),
-                                config.folds)
+    sel_cfg = _selection_config(config, subseed(config.seed, TAG_C2_SELECT, rep))
     full_lip = huber_lasso_lipschitz(data)
 
     rows = []

@@ -218,6 +218,22 @@ class TestCliSelect:
                    "--learners", ",", "--seed", "1", "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    @pytest.mark.parametrize("learners", ("huber,ols,huber", "ols,ols"))
+    def test_repeated_learner_exit_2_before_reading_data(self, learners, data_csv,
+                                                         tmp_path, capsys, monkeypatch):
+        import ranksel.cli as cli_mod
+
+        def no_read(*args):
+            raise AssertionError("the data was read before the learners were checked")
+
+        monkeypatch.setattr(cli_mod, "read_xy_csv", no_read)
+        out = tmp_path / "x"
+        rc = main(["select", "--data", str(data_csv), "--response", "y",
+                   "--learners", learners, "--seed", "1", "--out", str(out)])
+        assert rc == 2
+        assert "listed twice" in capsys.readouterr().err
+        assert not (out / "pvalues.csv").exists()
+
     def test_seed_is_mandatory(self, data_csv, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["select", "--data", str(data_csv), "--response", "y",
@@ -348,7 +364,9 @@ INVALID_SELECTION_FLAGS = [
     for command in ("select", "panel")
     for flags in (["--alpha", "1.5"], ["--alpha-screen", "0"], ["--s=-1"],
                   ["--s=nan"], ["--s=inf"], ["--B", "50"], ["--folds", "1"],
-                  ["--tau=-1"], ["--tau=0"], ["--tau=inf"], ["--tau=nan"])
+                  ["--tau=-1"], ["--tau=0"], ["--tau=inf"], ["--tau=nan"],
+                  # seeds are used modulo 2**64: -1 would write 2**64 - 1's bytes
+                  ["--seed=-1"], ["--seed=18446744073709551616"])
     # panel has neither folds nor a loss to tune
     if not (command == "panel" and flags[0].startswith(("--folds", "--tau")))
 ]
@@ -360,7 +378,7 @@ def test_invalid_selection_flag_exit_2(command, flags, data_csv, panel_csv, tmp_
                                        capsys):
     out = tmp_path / "out"
     rc = main(_selection_argv(command, data_csv, panel_csv)
-              + flags + ["--seed", "1", "--out", str(out)])
+              + ["--seed", "1", *flags, "--out", str(out)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("ranksel: ")
     assert not (out / "report.json").exists()
@@ -467,6 +485,8 @@ class TestCliSimulate:
         ("case1", "reps=0"), ("case1", "reps=-2"), ("case1", "threads=-3"),
         ("case2", "reps=0"), ("case2", "reps=-2"), ("case2", "threads=-3"),
         ("case2", "k_path=1"), ("case2", "k_path=0"),
+        ("case1", "seed=-1"), ("case2", "seed=18446744073709551616"),
+        ("case1", "methods=cv,cv"), ("case2", "methods=rsr,pcv,rsr"),
     ])
     def test_bad_study_setting_exit_2_before_any_replicate(self, case, setting,
                                                            tmp_path, capsys,

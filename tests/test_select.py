@@ -12,8 +12,8 @@ from test_ranksum import _CountingTieStreams, loss_panels, mixed_panels
 from ranksel import (Candidate, ContractError, Dataset, LossFn, LossPanel,
                      SelectionConfig, cv_select, cvc_style_select, fit_ols,
                      make_folds, panel_from_folds,
-                     TieStreams, pair_stats, pcv_select, rsr_from_panel, rsr_split,
-                     rsr_vfold, screen)
+                     TieStreams, pair_stats, pcv_select, rsr_from_candidates,
+                     rsr_from_panel, screen)
 from ranksel import bootstrap, select
 from ranksel.bootstrap import multiplier_min_bootstrap, p_value
 from ranksel.errors import LearnerError
@@ -673,8 +673,8 @@ class TestRsrSplitAndVfold:
         loss = LossFn("absolute")
         for rep in range(reps):
             data = self._null_data(rng, 80)
-            cs = rsr_split(_ols_candidates(2), data,
-                           SelectionConfig(seed=rep, alpha=0.1), loss)
+            cs = rsr_from_candidates(_ols_candidates(2), data,
+                                     SelectionConfig(seed=rep, alpha=0.1, V=0), loss)
             for m in cs.selected:
                 kept[m] += 1
         assert np.all(kept / reps >= 1 - 0.1 - 0.05)
@@ -686,8 +686,8 @@ class TestRsrSplitAndVfold:
         loss = LossFn("absolute")
         for rep in range(reps):
             data = self._null_data(rng, 60)
-            cs = rsr_vfold(_ols_candidates(2), data,
-                           SelectionConfig(seed=rep, alpha=0.1, V=3), loss)
+            cs = rsr_from_candidates(_ols_candidates(2), data,
+                                     SelectionConfig(seed=rep, alpha=0.1, V=3), loss)
             for m in cs.selected:
                 kept[m] += 1
         assert np.all(kept / reps >= 1 - 0.1 - 0.05)
@@ -716,8 +716,8 @@ class TestRsrSplitAndVfold:
             x = rng.standard_normal((n, 1))
             y = 3.0 * x[:, 0] + 0.3 * rng.standard_normal(n)
             cands = [Candidate("line", fit_line), Candidate("flat", fit_flat)]
-            cs = rsr_split(cands, Dataset(x=x, y=y),
-                           SelectionConfig(seed=rep), LossFn("absolute"))
+            cs = rsr_from_candidates(cands, Dataset(x=x, y=y),
+                                     SelectionConfig(seed=rep, V=0), LossFn("absolute"))
             rejected += cs.p_values[1] < 0.1
         assert rejected >= 0.95 * reps
 
@@ -745,8 +745,8 @@ class TestRsrSplitAndVfold:
         x = rng.standard_normal((n, 1))
         y = x[:, 0] + 0.1 * rng.standard_normal(n)
         cands = _ols_candidates(2) + [Candidate("broken", fit_bad)]
-        cs = rsr_split(cands, Dataset(x=x, y=y), SelectionConfig(seed=2),
-                       LossFn("absolute"))
+        cs = rsr_from_candidates(cands, Dataset(x=x, y=y), SelectionConfig(seed=2, V=0),
+                                 LossFn("absolute"))
         assert cs.p_values[2] == 0.0
         assert 2 in cs.failed
         assert 2 not in cs.selected
@@ -760,8 +760,46 @@ class TestRsrSplitAndVfold:
         x = rng.standard_normal((n, 1))
         y = x[:, 0] + 0.1 * rng.standard_normal(n)
         cands = [_ols_candidates(1)[0], Candidate("broken", fit_bad)]
-        cs = rsr_split(cands, Dataset(x=x, y=y), SelectionConfig(seed=3),
-                       LossFn("absolute"))
+        cs = rsr_from_candidates(cands, Dataset(x=x, y=y), SelectionConfig(seed=3, V=0),
+                                 LossFn("absolute"))
         assert cs.p_values[0] == 1.0
         assert cs.p_values[1] == 0.0
         assert cs.selected == (0,)
+
+    def test_v_picks_split_or_folds(self):
+        rng = np.random.default_rng(19)
+        n = 40
+        x = rng.standard_normal((n, 1))
+        data = Dataset(x=x, y=x[:, 0] + rng.standard_normal(n))
+        for v, method in ((0, "rsr_split"), (2, "rsr_vfold"), (4, "rsr_vfold")):
+            cs = rsr_from_candidates(_ols_candidates(2), data,
+                                     SelectionConfig(seed=1, V=v), LossFn("absolute"))
+            assert cs.method == method
+        with pytest.raises(ContractError, match="at least 8"):
+            rsr_from_candidates(_ols_candidates(2), Dataset(x=x[:7], y=x[:7, 0]),
+                                SelectionConfig(seed=1, V=0), LossFn("absolute"))
+
+    @pytest.mark.parametrize("v", (0, 5))
+    def test_repeated_candidate_id_rejected(self, v):
+        rng = np.random.default_rng(20)
+        n = 60
+        x = rng.standard_normal((n, 1))
+        data = Dataset(x=x, y=x[:, 0] + rng.standard_normal(n))
+        cands = _ols_candidates(2) + _ols_candidates(1)   # "c0" twice
+        with pytest.raises(ContractError, match="'c0' is repeated"):
+            panel_from_folds(cands, data, make_folds(n, 5, seed=1), LossFn("absolute"))
+        with pytest.raises(ContractError, match="'c0' is repeated"):
+            rsr_from_candidates(cands, data, SelectionConfig(seed=1, V=v),
+                                LossFn("absolute"))
+
+
+class TestSelectionConfig:
+    @pytest.mark.parametrize("seed", (-1, 2**64, 2**64 + 5))
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # Seeds are used modulo 2**64, so -1 and 2**64 - 1 would alias.
+        with pytest.raises(ContractError, match="seed"):
+            SelectionConfig(seed=seed)
+
+    def test_seed_range_ends_accepted(self):
+        for seed in (0, 2**64 - 1):
+            assert SelectionConfig(seed=seed).seed == seed

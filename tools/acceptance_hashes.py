@@ -7,7 +7,10 @@ Two groups. ``cli`` runs ``ranksel`` in-process on small seeded inputs and
 hashes every file it writes that the change under test might touch:
 ``report.json`` and ``pvalues.csv`` of ``panel`` on a tie-free, a 0/1, a
 mixed and a wide (n = 60, M = 120) loss panel (default and ``--no-screening``)
-and of ``select`` at ``--folds 0`` and ``--folds 5``, plus ``aggregate.json``,
+and of ``select`` at ``--folds 0`` and ``--folds 5``, both on a full-rank
+design (``select_folds*``) and on one whose two feature columns are equal, so
+``ols`` and ``huber`` fail and ``huber_lasso`` is the lone survivor
+(``select_failed*``), plus ``aggregate.json``,
 ``replicates.csv``, ``setsize_vs_n.dat`` and ``rates.dat`` of ``simulate
 case1`` at n = 40 with 3 replicates and of ``simulate case2`` at (200, 200)
 with 1 replicate (the Huber-lasso path solver; about ten seconds). The runs
@@ -100,6 +103,13 @@ def _write_inputs() -> None:
         writer = csv.writer(fh)
         writer.writerow(["x1", "x2", "x3", "y"])
         writer.writerows(np.column_stack([x, y]).tolist())
+    dup_rng = np.random.default_rng(404)
+    x1 = dup_rng.standard_normal(80)
+    y = 1.0 + 2.0 * x1 + dup_rng.standard_t(2, size=80)
+    with open("xy_dup.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x1", "x2", "y"])
+        writer.writerows(np.column_stack([x1, x1, y]).tolist())
     Path("case1.cfg").write_text("n = 40\nx_df = 3\nreps = 3\nseed = 401\n",
                                  encoding="utf-8")
     Path("case2.cfg").write_text("n = 200\np = 200\nnoise_df = 3\nrho = 0.25\n"
@@ -113,11 +123,12 @@ def _cli_runs():
             name = f"panel_{panel}_{mode}"
             yield name, ["panel", "--losses", f"{panel}.csv", *flags, "--seed", "7",
                          "--out", name], ("report.json", "pvalues.csv")
-    for folds in (0, 5):
-        name = f"select_folds{folds}"
-        yield name, ["select", "--data", "xy.csv", "--response", "y",
-                     "--learners", "ols,huber,huber_lasso", "--folds", str(folds),
-                     "--seed", "7", "--out", name], ("report.json", "pvalues.csv")
+    for label, data in (("folds", "xy.csv"), ("failed", "xy_dup.csv")):
+        for folds in (0, 5):
+            name = f"select_{label}{folds}"
+            yield name, ["select", "--data", data, "--response", "y",
+                         "--learners", "ols,huber,huber_lasso", "--folds", str(folds),
+                         "--seed", "7", "--out", name], ("report.json", "pvalues.csv")
     for name, case in (("case1_cli_n40", "case1"), ("case2_cli_200x200", "case2")):
         yield name, ["simulate", case, "--config", f"{case}.cfg", "--out", name], (
             "aggregate.json", "replicates.csv", "setsize_vs_n.dat", "rates.dat")
