@@ -22,6 +22,7 @@ owns, so one product with the multipliers serves them all.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from statistics import NormalDist
@@ -35,6 +36,14 @@ from .rng import multiplier_matrix
 RECOMMENDED_MIN_DRAWS = 500
 
 
+def integral(name: str, value) -> int:
+    """``value`` as an int if it is one (``operator.index``); 1.5 is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ContractError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class BootstrapConfig:
     """Multiplier bootstrap settings: draw count and seed (and its draws)."""
@@ -44,16 +53,16 @@ class BootstrapConfig:
     _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if int(self.B) < 100:
+        object.__setattr__(self, "B", integral("B", self.B))
+        object.__setattr__(self, "seed", integral("seed", self.seed))
+        if self.B < 100:
             raise ContractError(f"B must be >= 100, got {self.B}")
-        if int(self.B) < RECOMMENDED_MIN_DRAWS:
+        if self.B < RECOMMENDED_MIN_DRAWS:
             warnings.warn(
                 f"B = {self.B} bootstrap draws is below the recommended "
                 f"{RECOMMENDED_MIN_DRAWS}; p-values will be coarse",
                 stacklevel=3,
             )
-        object.__setattr__(self, "B", int(self.B))
-        object.__setattr__(self, "seed", int(self.seed))
 
     def multipliers(self, n: int) -> np.ndarray:
         """The read-only (B, n) multiplier block, drawn once per config and n."""

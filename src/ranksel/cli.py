@@ -50,20 +50,15 @@ LEARNERS = {
 
 
 def _candidates_from_names(names):
-    cands = []
     for k, name in enumerate(names):
         if name in names[:k]:
             raise ConfigError(f"learner {name!r} is listed twice")
         if name not in LEARNERS:
             raise ConfigError(
                 f"unknown learner {name!r}; available: {', '.join(sorted(LEARNERS))}")
-        learner = LEARNERS[name]
-        cands.append(Candidate(
-            model_id=name,
-            fit=lambda x, y, _l=learner: _l(Dataset(x=x, y=y))))
-    if not cands:
-        raise ConfigError("empty candidate list; pass --learners")
-    return cands
+    if len(names) < 2:
+        raise ConfigError("need at least two learners; pass --learners a,b")
+    return [Candidate(model_id=name, fit=LEARNERS[name]) for name in names]
 
 
 def _selection_options(parser):
@@ -146,7 +141,7 @@ def _loss_fn(args) -> LossFn | None:
     if args.loss == "huber" and args.tau is None:
         return None
     try:
-        return LossFn(args.loss, tau=args.tau if args.loss == "huber" else None)
+        return LossFn(args.loss, tau=args.tau)
     except ContractError as exc:
         raise ConfigError(str(exc)) from None
 

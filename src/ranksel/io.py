@@ -140,21 +140,24 @@ def read_xy_csv(path, response: str):
 
 
 def parse_config_file(path) -> dict[str, str]:
-    """Flat `key = value` file; '#' starts a comment."""
+    """Flat `key = value` file; '#' starts a comment; each key is set once."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    out: dict[str, str] = {}
+    out: dict[str, tuple[int, str]] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigError(f"{path} line {line_no}: expected 'key = value'")
-        key, value = stripped.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key in out:
+            raise ConfigError(f"{path}: key {key!r} is set on line {out[key][0]} "
+                              f"and again on line {line_no}")
+        out[key] = (line_no, value)
+    return {key: value for key, (_, value) in out.items()}
 
 
 @dataclass(frozen=True)

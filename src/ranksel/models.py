@@ -82,7 +82,7 @@ class FittedLinear:
 
 @dataclass(frozen=True)
 class LossFn:
-    """Pointwise loss on residuals: squared, absolute, or Huber."""
+    """Pointwise loss on residuals: squared, absolute, or Huber (knee tau)."""
 
     kind: str
     tau: float | None = None
@@ -93,6 +93,8 @@ class LossFn:
         if self.kind == "huber":
             if self.tau is None or not np.isfinite(self.tau) or self.tau <= 0:
                 raise ContractError("huber loss needs a finite tau > 0")
+        elif self.tau is not None:
+            raise ContractError(f"{self.kind} loss takes no tau, got {self.tau}")
 
 
 def loss_eval(fn: LossFn, residual):

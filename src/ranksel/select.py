@@ -20,11 +20,12 @@ therefore reorders the results and changes nothing else:
 * ``cvc_style_select``: studentized mean loss differences (intentionally
   non-robust); a competitor's constant win rejects m outright.
 
-``cv_select`` is plain argmin of average loss (singleton set).
-``rsr_from_candidates`` wraps training: it splits the data (V = 0: one
-sample split, evaluated on the second fold of a 2-fold plan; V >= 2: V
-folds), fits every candidate, assembles the out-of-sample loss panel, and
-defers to ``rsr_from_panel``. A candidate whose learner fails is flagged
+``cv_select`` is plain argmin of average loss (singleton set). Every set
+keeps {m : p_m >= alpha}. ``rsr_from_candidates`` wraps training: it
+splits the data (V = 0: one sample split, evaluated on the second fold of
+a 2-fold plan; V >= 2: V folds), ``panel_from_folds`` fits and scores each
+candidate fold by fold into the out-of-sample loss panel, and
+``rsr_from_panel`` reads it. A candidate whose learner fails is flagged
 and assigned p-value 0; candidate ids must be distinct.
 """
 
@@ -32,12 +33,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, normal_quantile, run_min_bootstrap
+from .bootstrap import BootstrapConfig, integral, normal_quantile, run_min_bootstrap
 from .errors import ContractError, LearnerError
 from .models import Dataset, LossFn, loss_eval
 from .ranksum import LossPanel, pair_stats
@@ -68,8 +69,12 @@ class SelectionConfig:
     B: int = 500
     V: int = 5
     screening_enabled: bool = True
+    # Every method's multipliers: one (B, n) block per n, drawn on first use.
+    bootstrap: BootstrapConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("seed", "V"):
+            object.__setattr__(self, name, integral(name, getattr(self, name)))
         # Seeds enter every key path modulo 2**64, so a wider range would alias.
         if not 0 <= self.seed < 2**64:
             raise ContractError(f"seed must be in [0, 2**64), got {self.seed}")
@@ -79,16 +84,11 @@ class SelectionConfig:
             raise ContractError(f"alpha_screen must be in (0, 1), got {self.alpha_screen}")
         if not (math.isfinite(self.s) and self.s > 0):
             raise ContractError(f"screening exponent s must be finite and > 0, got {self.s}")
-        if int(self.B) < 100:
-            raise ContractError(f"B must be >= 100, got {self.B}")
         if self.V != 0 and self.V < 2:
             raise ContractError("V must be 0 (sample splitting) or >= 2")
-
-    @cached_property
-    def bootstrap(self) -> BootstrapConfig:
-        """The multiplier bootstrap of every method run with this config:
-        one (B, n) block per panel size n, drawn on first use."""
-        return BootstrapConfig(B=self.B, seed=subseed(self.seed, TAG_BOOT))
+        boot = BootstrapConfig(B=self.B, seed=subseed(self.seed, TAG_BOOT))
+        object.__setattr__(self, "bootstrap", boot)
+        object.__setattr__(self, "B", boot.B)
 
 
 @dataclass(frozen=True)
@@ -99,10 +99,14 @@ class ConfidenceSet:
     alpha: float
     model_ids: tuple[str, ...]
     p_values: np.ndarray
-    selected: tuple[int, ...]
     screened_out: dict[int, tuple[int, ...]] = field(default_factory=dict)
     failed: tuple[int, ...] = ()
     diagnostics: dict[int, dict] = field(default_factory=dict)
+
+    @property
+    def selected(self) -> tuple[int, ...]:
+        """The kept models: every index whose p-value reaches alpha."""
+        return tuple(int(i) for i in np.nonzero(self.p_values >= self.alpha)[0])
 
     @property
     def selected_ids(self) -> tuple[str, ...]:
@@ -152,14 +156,6 @@ def screen(mu, se, n_models: int, alpha_screen: float, s: float) -> np.ndarray:
         raise ContractError("need at least two models")
     c = normal_quantile(1.0 - alpha_screen / (n_models - 1) ** (1.0 + s))
     return np.nonzero(mu / se <= 2.0 * c)[0]
-
-
-def _assemble(method, panel_ids, alpha, p_vals, screened_out, failed, diagnostics):
-    selected = tuple(int(i) for i in np.nonzero(p_vals >= alpha)[0])
-    return ConfidenceSet(method=method, alpha=alpha, model_ids=tuple(panel_ids),
-                         p_values=p_vals, selected=selected,
-                         screened_out=screened_out, failed=tuple(failed),
-                         diagnostics=diagnostics)
 
 
 class _Evidence(NamedTuple):
@@ -220,8 +216,9 @@ def _select_loop(panel: LossPanel, config: SelectionConfig, method: str,
         sizes.append(ev.mu.size)
     if refs:
         bootstrap_block()
-    return _assemble(method, panel.model_ids, config.alpha, p_vals,
-                     screened_out, [], dict(enumerate(diagnostics)))
+    return ConfidenceSet(method=method, alpha=config.alpha, model_ids=panel.model_ids,
+                         p_values=p_vals, screened_out=screened_out,
+                         diagnostics=dict(enumerate(diagnostics)))
 
 
 def _rsr_evidence(panel: LossPanel, config: SelectionConfig, ties: TieStreams,
@@ -302,19 +299,21 @@ def cv_select(panel_risk, model_ids=None, alpha: float = 0.1) -> ConfidenceSet:
         raise ContractError("panel_risk must be a nonempty vector")
     if not np.all(np.isfinite(risks)):
         raise ContractError("risks must be finite")
+    if not 0.0 < alpha < 1.0:
+        raise ContractError(f"alpha must be in (0, 1), got {alpha}")
     best = int(np.argmin(risks))   # argmin takes the first index on ties
     if model_ids is None:
         model_ids = tuple(str(i) for i in range(risks.size))
     p_vals = np.zeros(risks.size)
     p_vals[best] = 1.0
     return ConfidenceSet(method="cv", alpha=alpha, model_ids=tuple(model_ids),
-                         p_values=p_vals, selected=(best,),
+                         p_values=p_vals,
                          diagnostics={best: {"risk": float(risks[best])}})
 
 
 @dataclass(frozen=True)
 class Candidate:
-    """A named training procedure: fit(x, y) -> fitted predictor."""
+    """A named training procedure, fit(Dataset) -> fitted predictor."""
 
     model_id: str
     fit: callable
@@ -334,17 +333,6 @@ def make_folds(n_total: int, v_folds: int, seed: int) -> list[np.ndarray]:
     return [np.sort(f) for f in np.array_split(perm, v_folds)]
 
 
-def _fit_all(candidates, x, y):
-    fits = {}
-    failed = []
-    for c in candidates:
-        try:
-            fits[c.model_id] = c.fit(x, y)
-        except (LearnerError, np.linalg.LinAlgError, FloatingPointError):
-            failed.append(c.model_id)
-    return fits, failed
-
-
 def panel_from_folds(candidates, data: Dataset, folds, loss: LossFn):
     """Out-of-fold loss panel over the observations the folds cover.
 
@@ -352,37 +340,36 @@ def panel_from_folds(candidates, data: Dataset, folds, loss: LossFn):
     observation k is scored by the model that never saw it. The panel's
     rows are the folds' indices in ascending order: all n for a V-fold
     partition, the evaluation half for a single sample-split fold. A
-    candidate failing on any fold, or giving non-finite losses, is dropped.
-    Returns (panel over the survivors or None if fewer than two, sorted
-    failed ids).
+    candidate whose learner fails on a fold, or whose residuals there are
+    not finite, is dropped and not trained again. Returns (panel over the
+    survivors or None if fewer than two, sorted failed ids).
     """
     ids = [c.model_id for c in candidates]
     for k, model_id in enumerate(ids):
         if model_id in ids[:k]:
             raise ContractError(f"candidate id {model_id!r} is repeated")
     rows = np.sort(np.concatenate(folds))
-    all_idx = np.arange(data.n)
-    preds = {c.model_id: np.empty(data.n) for c in candidates}
+    losses = np.empty((data.n, len(ids)))
     failed = set()
     for fold in folds:
-        train_idx = np.setdiff1d(all_idx, fold)
-        fits, bad = _fit_all(candidates, data.x[train_idx], data.y[train_idx])
-        failed.update(bad)
-        for model_id, fit in fits.items():
-            preds[model_id][fold] = fit.predict(data.x[fold])
-    cols = {}
-    for c in candidates:
-        if c.model_id in failed:
-            continue
-        resid = data.y[rows] - preds[c.model_id][rows]
-        if not np.all(np.isfinite(resid)):
-            failed.add(c.model_id)
-            continue
-        cols[c.model_id] = loss_eval(loss, resid)
-    if len(cols) < 2:
+        train_idx = np.setdiff1d(np.arange(data.n), fold)
+        train = Dataset(x=data.x[train_idx], y=data.y[train_idx])
+        for j, c in enumerate(candidates):
+            if c.model_id in failed:
+                continue
+            try:
+                resid = data.y[fold] - c.fit(train).predict(data.x[fold])
+            except (LearnerError, np.linalg.LinAlgError, FloatingPointError):
+                resid = None
+            if resid is None or not np.all(np.isfinite(resid)):
+                failed.add(c.model_id)
+            else:
+                losses[fold, j] = loss_eval(loss, resid)
+    keep = [j for j, model_id in enumerate(ids) if model_id not in failed]
+    if len(keep) < 2:
         return None, sorted(failed)
-    panel = LossPanel(losses=np.column_stack(list(cols.values())),
-                      model_ids=tuple(cols))
+    panel = LossPanel(losses=losses[np.ix_(rows, keep)],
+                      model_ids=tuple(ids[j] for j in keep))
     return panel, sorted(failed)
 
 
@@ -420,6 +407,7 @@ def rsr_from_candidates(candidates, data: Dataset, config: SelectionConfig,
         screened_out = {remap[m]: tuple(remap[j] for j in js)
                         for m, js in sub.screened_out.items()}
         diagnostics = {remap[m]: d for m, d in sub.diagnostics.items()}
-    failed_idx = [i for i, mid in enumerate(all_ids) if mid in failed]
-    return _assemble(method, all_ids, config.alpha, p_vals, screened_out,
-                     failed_idx, diagnostics)
+    return ConfidenceSet(method=method, alpha=config.alpha, model_ids=all_ids,
+                         p_values=p_vals, screened_out=screened_out,
+                         failed=tuple(i for i, mid in enumerate(all_ids) if mid in failed),
+                         diagnostics=diagnostics)

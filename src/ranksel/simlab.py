@@ -171,9 +171,9 @@ def ar1_design(n: int, p: int, rho: float, stream: np.random.Generator) -> np.nd
 
 
 def _intercept_only_fitter(d: int):
-    def fit(x, y):
-        tau = adaptive_tau(len(y), 0, robust_scale(y))
-        return FittedLinear(intercept=huber_location(y, tau), coef=np.zeros(d))
+    def fit(data):
+        tau = adaptive_tau(data.n, 0, robust_scale(data.y))
+        return FittedLinear(intercept=huber_location(data.y, tau), coef=np.zeros(d))
     return fit
 
 
@@ -182,8 +182,8 @@ def _subset_fitter(subset: tuple[int, ...], d: int):
         return _intercept_only_fitter(d)
     cols = list(subset)
 
-    def fit(x, y):
-        fm = fit_huber_adaptive(Dataset(x=x[:, cols], y=y))
+    def fit(data):
+        fm = fit_huber_adaptive(Dataset(x=data.x[:, cols], y=data.y))
         coef = np.zeros(d)
         coef[cols] = fm.coef
         return FittedLinear(intercept=fm.intercept, coef=coef, meta=fm.meta)

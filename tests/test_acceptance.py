@@ -96,11 +96,7 @@ def _crit2_replicate(rep):
     x = rng.standard_normal((n_total, 1))
     y = rng.standard_t(2, size=n_total)
     data = Dataset(x=x, y=y)
-
-    def fit(xx, yy):
-        return fit_ols(Dataset(x=xx, y=yy))
-
-    cands = [Candidate(f"c{j}", fit) for j in range(_CRIT2_MODELS)]
+    cands = [Candidate(f"c{j}", fit_ols) for j in range(_CRIT2_MODELS)]
     cfg = SelectionConfig(seed=rep, alpha=0.1, B=500, V=0)
     cs = rsr_from_candidates(cands, data, cfg, LossFn("absolute"))
     return [float(p) for p in cs.p_values]

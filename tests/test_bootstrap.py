@@ -75,6 +75,13 @@ class TestBootstrapConfig:
         with pytest.raises(ContractError):
             BootstrapConfig(B=99, seed=0)
 
+    @pytest.mark.parametrize("B", (250.5, 500.0))
+    def test_non_integral_draws_rejected(self, B):
+        # Truncating B = 250.5 would run 250 draws.
+        with pytest.raises(ContractError, match="B must be an integer"):
+            BootstrapConfig(B=B, seed=0)
+        assert BootstrapConfig(B=np.int64(500), seed=np.uint64(7)).B == 500
+
     def test_low_draws_warn(self):
         with pytest.warns(UserWarning) as caught:
             BootstrapConfig(B=100, seed=0)

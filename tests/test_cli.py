@@ -127,6 +127,14 @@ class TestConfigFile:
         path.write_text("# comment\nn = 40\nx_df = 3   # inline\n\nseed=7\n")
         assert parse_config_file(path) == {"n": "40", "x_df": "3", "seed": "7"}
 
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        # A second `seed = 6` must not silently replace the first.
+        path = tmp_path / "c.cfg"
+        path.write_text("seed = 5\nn = 40\n# seed = 7\nseed = 6\n")
+        with pytest.raises(ConfigError, match="key 'seed' is set on line 1 and again "
+                                              "on line 4"):
+            parse_config_file(path)
+
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("n 40\n")
@@ -185,7 +193,7 @@ class TestCliSelect:
 
     def test_missing_response_exit_2(self, data_csv, tmp_path, capsys):
         rc = main(["select", "--data", str(data_csv), "--response", "zz",
-                   "--learners", "ols", "--seed", "1",
+                   "--learners", "ols,huber", "--seed", "1",
                    "--out", str(tmp_path / "x")])
         assert rc == 2
         assert "--response" in capsys.readouterr().err
@@ -232,6 +240,24 @@ class TestCliSelect:
                    "--learners", learners, "--seed", "1", "--out", str(out)])
         assert rc == 2
         assert "listed twice" in capsys.readouterr().err
+        assert not (out / "pvalues.csv").exists()
+
+    @pytest.mark.parametrize("learners", ("ols", "huber_lasso,"))
+    def test_one_learner_exit_2_before_reading_data(self, learners, data_csv, tmp_path,
+                                                    capsys, monkeypatch):
+        # One learner has nothing to be compared against; the list is a usage
+        # input, refused before the CSV is read.
+        import ranksel.cli as cli_mod
+
+        def no_read(*args):
+            raise AssertionError("the data was read before the learners were checked")
+
+        monkeypatch.setattr(cli_mod, "read_xy_csv", no_read)
+        out = tmp_path / "x"
+        rc = main(["select", "--data", str(data_csv), "--response", "y",
+                   "--learners", learners, "--seed", "1", "--out", str(out)])
+        assert rc == 2
+        assert "at least two learners" in capsys.readouterr().err
         assert not (out / "pvalues.csv").exists()
 
     def test_seed_is_mandatory(self, data_csv, tmp_path):
@@ -365,10 +391,12 @@ INVALID_SELECTION_FLAGS = [
     for flags in (["--alpha", "1.5"], ["--alpha-screen", "0"], ["--s=-1"],
                   ["--s=nan"], ["--s=inf"], ["--B", "50"], ["--folds", "1"],
                   ["--tau=-1"], ["--tau=0"], ["--tau=inf"], ["--tau=nan"],
+                  # only the Huber loss has a knee, so a tau with another is refused
+                  ["--loss=absolute", "--tau", "2.5"], ["--loss", "absolute", "--tau=-1"],
                   # seeds are used modulo 2**64: -1 would write 2**64 - 1's bytes
                   ["--seed=-1"], ["--seed=18446744073709551616"])
     # panel has neither folds nor a loss to tune
-    if not (command == "panel" and flags[0].startswith(("--folds", "--tau")))
+    if not (command == "panel" and flags[0].startswith(("--folds", "--tau", "--loss")))
 ]
 
 
@@ -434,6 +462,14 @@ class TestCliSimulate:
         assert rc == 2
         err = capsys.readouterr().err
         assert "(200, 200)" in err and "(400, 2000)" in err
+
+    def test_repeated_config_key_exit_2(self, tmp_path, capsys):
+        cfg = self._cfg(tmp_path, "n = 40\nx_df = 3\nreps = 1\nseed = 5\nseed = 6\n")
+        out = tmp_path / "sim"
+        rc = main(["simulate", "case1", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert "'seed'" in capsys.readouterr().err
+        assert not (out / "aggregate.json").exists()
 
     def test_set_overrides(self, tmp_path):
         cfg = self._cfg(tmp_path, "n = 40\nx_df = 3\nreps = 1\nseed = 9\n")

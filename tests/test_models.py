@@ -86,6 +86,13 @@ class TestLossEval:
         with pytest.raises(ContractError):
             LossFn("huber", tau=-1.0)
 
+    @pytest.mark.parametrize("kind", ("squared", "absolute"))
+    @pytest.mark.parametrize("tau", (2.5, -1.0))
+    def test_tau_refused_without_huber(self, kind, tau):
+        # Only the Huber loss has a knee; a tau for another loss is refused.
+        with pytest.raises(ContractError, match=f"{kind} loss takes no tau"):
+            LossFn(kind, tau=tau)
+
     def test_nonfinite_residual_rejected(self):
         with pytest.raises(DataError):
             loss_eval(LossFn("squared"), np.nan)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from unittest import mock
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 from test_ranksum import _CountingTieStreams, loss_panels, mixed_panels
 
-from ranksel import (Candidate, ContractError, Dataset, LossFn, LossPanel,
-                     SelectionConfig, cv_select, cvc_style_select, fit_ols,
+from ranksel import (Candidate, ConfidenceSet, ContractError, Dataset, LossFn,
+                     LossPanel, SelectionConfig, cv_select, cvc_style_select, fit_ols,
                      make_folds, panel_from_folds,
                      TieStreams, pair_stats, pcv_select, rsr_from_candidates,
                      rsr_from_panel, screen)
@@ -30,9 +31,7 @@ def _panel(losses, ids=None):
 
 
 def _ols_candidates(n_models):
-    def fit(x, y):
-        return fit_ols(Dataset(x=x, y=y))
-    return [Candidate(model_id=f"c{j}", fit=fit) for j in range(n_models)]
+    return [Candidate(model_id=f"c{j}", fit=fit_ols) for j in range(n_models)]
 
 
 class TestScreen:
@@ -78,6 +77,24 @@ class TestCvSelect:
         a = cv_select(risks).selected
         b = cv_select(np.exp(risks)).selected
         assert a == b
+
+    @pytest.mark.parametrize("alpha", (0.0, -0.1, 1.5))
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        # The set is {m : p_m >= alpha}; alpha <= 0 would keep every model.
+        with pytest.raises(ContractError, match="alpha"):
+            cv_select([3.0, 1.0, 2.0], alpha=alpha)
+
+    def test_selected_is_read_off_the_p_values(self):
+        cs = cv_select([3.0, 1.0, 2.0])
+        fields = {f.name for f in dataclasses.fields(cs)}
+        assert "selected" not in fields
+        with pytest.raises(TypeError):
+            ConfidenceSet(method="cv", alpha=0.1, model_ids=("a", "b"),
+                          p_values=np.array([0.5, 0.05]), selected=(1,))
+        cs = ConfidenceSet(method="x", alpha=0.1, model_ids=("a", "b", "c"),
+                           p_values=np.array([0.5, 0.05, 0.1]))
+        assert cs.selected == (0, 2)
+        assert cs.to_dict()["selected"] == [0, 2]
 
 
 def _binary_panel(rng, rates, n=200):
@@ -695,9 +712,6 @@ class TestRsrSplitAndVfold:
     def test_known_better_model_rejects_other(self):
         # candidate "flat" predicts a constant; candidate "line" knows the
         # slope; with a strong signal the flat model must leave the set
-        def fit_line(x, y):
-            return fit_ols(Dataset(x=x, y=y))
-
         class FlatFit:
             def __init__(self, c):
                 self.c = c
@@ -705,8 +719,8 @@ class TestRsrSplitAndVfold:
             def predict(self, x):
                 return np.full(x.shape[0], self.c)
 
-        def fit_flat(x, y):
-            return FlatFit(float(np.median(y)))
+        def fit_flat(data):
+            return FlatFit(float(np.median(data.y)))
 
         rng = np.random.default_rng(15)
         rejected = 0
@@ -715,7 +729,7 @@ class TestRsrSplitAndVfold:
             n = 400
             x = rng.standard_normal((n, 1))
             y = 3.0 * x[:, 0] + 0.3 * rng.standard_normal(n)
-            cands = [Candidate("line", fit_line), Candidate("flat", fit_flat)]
+            cands = [Candidate("line", fit_ols), Candidate("flat", fit_flat)]
             cs = rsr_from_candidates(cands, Dataset(x=x, y=y),
                                      SelectionConfig(seed=rep, V=0), LossFn("absolute"))
             rejected += cs.p_values[1] < 0.1
@@ -737,7 +751,7 @@ class TestRsrSplitAndVfold:
         np.testing.assert_array_equal(vpanel.losses[folds[1]], p1.losses)
 
     def test_failed_learner_flagged_zero_pvalue(self):
-        def fit_bad(x, y):
+        def fit_bad(data):
             raise LearnerError("always fails")
 
         rng = np.random.default_rng(17)
@@ -752,7 +766,7 @@ class TestRsrSplitAndVfold:
         assert 2 not in cs.selected
 
     def test_single_survivor_gets_pvalue_one(self):
-        def fit_bad(x, y):
+        def fit_bad(data):
             raise LearnerError("always fails")
 
         rng = np.random.default_rng(18)
@@ -792,6 +806,55 @@ class TestRsrSplitAndVfold:
             rsr_from_candidates(cands, data, SelectionConfig(seed=1, V=v),
                                 LossFn("absolute"))
 
+    def test_learner_failing_on_first_fold_is_trained_once(self):
+        calls = []
+
+        def fit_bad(data):
+            calls.append(data.n)
+            raise LearnerError("always fails")
+
+        rng = np.random.default_rng(21)
+        n = 60
+        x = rng.standard_normal((n, 1))
+        data = Dataset(x=x, y=x[:, 0] + rng.standard_normal(n))
+        cands = _ols_candidates(2) + [Candidate("broken", fit_bad)]
+        panel, failed = panel_from_folds(cands, data, make_folds(n, 5, seed=1),
+                                         LossFn("absolute"))
+        assert calls == [48]
+        assert failed == ["broken"]
+        assert panel.model_ids == ("c0", "c1")
+
+    def test_non_finite_predictions_on_one_fold_drop_the_candidate(self):
+        # "wild" predicts NaN once, on the third fold; it is dropped, flagged
+        # and never trained again, and the others' panel is unchanged.
+        calls = []
+
+        class Wild:
+            def predict(self, x):
+                return np.full(x.shape[0], np.nan if len(calls) == 3 else 0.0)
+
+        def fit_wild(data):
+            calls.append(data.n)
+            return Wild()
+
+        rng = np.random.default_rng(22)
+        n = 60
+        x = rng.standard_normal((n, 1))
+        data = Dataset(x=x, y=x[:, 0] + rng.standard_normal(n))
+        loss, folds = LossFn("absolute"), make_folds(n, 5, seed=1)
+        cands = _ols_candidates(2) + [Candidate("wild", fit_wild)]
+        panel, failed = panel_from_folds(cands, data, folds, loss)
+        assert len(calls) == 3
+        assert failed == ["wild"]
+        reference, _ = panel_from_folds(_ols_candidates(2), data, folds, loss)
+        assert panel.model_ids == reference.model_ids
+        np.testing.assert_array_equal(panel.losses, reference.losses)
+        calls.clear()
+        cs = rsr_from_candidates(cands, data, SelectionConfig(seed=1, V=5), loss)
+        assert cs.failed == (2,)
+        assert cs.p_values[2] == 0.0
+        assert 2 not in cs.selected
+
 
 class TestSelectionConfig:
     @pytest.mark.parametrize("seed", (-1, 2**64, 2**64 + 5))
@@ -803,3 +866,27 @@ class TestSelectionConfig:
     def test_seed_range_ends_accepted(self):
         for seed in (0, 2**64 - 1):
             assert SelectionConfig(seed=seed).seed == seed
+
+    @pytest.mark.parametrize("name,value", [("seed", 1.5), ("seed", 1.0), ("B", 250.5),
+                                            ("B", 500.0), ("V", 5.0), ("V", "5")])
+    def test_non_integral_counts_rejected(self, name, value):
+        # Truncating would run seed 1's draws for seed 1.5, and 250 for B = 250.5.
+        kwargs = {"seed": 1, name: value}
+        with pytest.raises(ContractError, match=f"{name} must be an integer"):
+            SelectionConfig(**kwargs)
+
+    def test_index_values_accepted_as_ints(self):
+        cfg = SelectionConfig(seed=np.uint64(3), B=np.int64(600), V=np.int32(4))
+        assert (cfg.seed, cfg.B, cfg.V) == (3, 600, 4)
+        assert all(type(v) is int for v in (cfg.seed, cfg.B, cfg.V))
+        assert cfg == SelectionConfig(seed=3, B=600, V=4)
+        assert hash(cfg) == hash(SelectionConfig(seed=3, B=600, V=4))
+
+    def test_bootstrap_is_built_and_checked_at_construction(self):
+        with pytest.raises(ContractError, match="B must be >= 100, got 99"):
+            SelectionConfig(seed=1, B=99)
+        with pytest.warns(UserWarning, match="B = 200"):
+            cfg = SelectionConfig(seed=1, B=200)
+        assert cfg.bootstrap.B == 200
+        assert cfg.bootstrap.seed == subseed(1, TAG_BOOT)
+        assert "bootstrap" not in repr(cfg)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ranksel import (Candidate, Case1Config, Case2Config, ConfigError, LearnerError,
-                     keyed_stream, run_case1, run_case2, sample_student_t,
+from ranksel import (Candidate, Case1Config, Case2Config, ConfigError, Dataset,
+                     LearnerError, keyed_stream, run_case1, run_case2, sample_student_t,
                      subset_candidates)
 from ranksel.simlab import ar1_design, case1_replicate, case2_replicate
 
@@ -71,7 +71,7 @@ class TestSubsetCandidates:
         x = rng.standard_normal((40, 4))
         y = 2.0 + x[:, 1] + 0.1 * rng.standard_normal(40)
         for cand in subset_candidates(4)[:4]:
-            fit = cand.fit(x, y)
+            fit = cand.fit(Dataset(x=x, y=y))
             assert np.isfinite(fit.intercept)
             assert fit.coef.shape == (4,)
 
@@ -110,7 +110,7 @@ class TestCase1:
         # RSR without screening bootstraps all 15 * 14 pairs.
         import ranksel.simlab as simlab_mod
 
-        def refuse(x, y):
+        def refuse(data):
             raise LearnerError("training refused")
 
         cands = subset_candidates(4)
