@@ -29,8 +29,14 @@ its own config helpers, at ACCEPT_SEED and threads=2: criterion 2's JSON,
 Case 1's ``to_json()`` at n=320 and n=40, and Case 2's at (200, 200). These
 take a few minutes on two cores; Case 2 is the longest.
 
-A change that claims to keep output bytes compares these lines before and
-after.
+Two comment lines come first: the NumPy version and its BLAS build, since
+gemm rounding, and with it a p-value count, can differ between builds. A
+change that claims to keep output bytes compares the lines before and after.
+The ``cli`` group's output is committed as ``tests/golden_cli_hashes.txt``,
+which ``tests/test_golden_hashes.py`` checks on every run; a change that
+moves bytes on purpose rewrites that file with
+
+    PYTHONPATH=src python tools/acceptance_hashes.py cli > tests/golden_cli_hashes.txt
 """
 
 import contextlib
@@ -182,6 +188,14 @@ def cli_hashes():
             os.chdir(cwd)
 
 
+def build_header() -> list[str]:
+    """Comment lines naming the NumPy version and its BLAS build."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    config = " ".join(blas.get("openblas configuration", "").split())
+    return [f"# numpy {np.__version__}",
+            f"# blas {blas.get('name')} {blas.get('version')}: {config}".rstrip()]
+
+
 def acceptance_hashes():
     for name, build in AGGREGATES:
         yield name, _digest(build().encode("utf-8"))
@@ -196,6 +210,8 @@ def main(argv) -> int:
         print(f"unknown group(s) {unknown}; choose from {sorted(GROUPS)}",
               file=sys.stderr)
         return 2
+    for line in build_header():
+        print(line, flush=True)
     for group in argv or GROUPS:
         for name, digest in GROUPS[group]():
             print(f"{name} {digest}", flush=True)
