@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 import warnings
 from dataclasses import dataclass, field
 from statistics import NormalDist
@@ -34,6 +35,17 @@ from .ranksum import PSI_CENTERING_TOL
 from .rng import multiplier_matrix
 
 RECOMMENDED_MIN_DRAWS = 500
+
+
+def _caller_stacklevel() -> int:
+    """The ``stacklevel`` at which a warning raised by this function's caller
+    names the first frame outside this package. Dataclass-generated methods
+    run in their class's module globals, so their frames count as inside."""
+    package = __name__.partition(".")[0]
+    level, frame = 2, sys._getframe(2)
+    while frame is not None and frame.f_globals.get("__name__", "").partition(".")[0] == package:
+        level, frame = level + 1, frame.f_back
+    return level
 
 
 def integral(name: str, value) -> int:
@@ -61,7 +73,7 @@ class BootstrapConfig:
             warnings.warn(
                 f"B = {self.B} bootstrap draws is below the recommended "
                 f"{RECOMMENDED_MIN_DRAWS}; p-values will be coarse",
-                stacklevel=3,
+                stacklevel=_caller_stacklevel(),
             )
 
     def multipliers(self, n: int) -> np.ndarray:

@@ -7,12 +7,19 @@ l1-penalized Huber regression solved by proximal gradient with fixed step
 helpers the simulation studies need. Learners raise :class:`LearnerError` on
 unusable data; selection code treats that as a failed candidate rather than
 aborting.
+
+Huber regression has one IRLS core, ``fit_huber_stack``: it fits a stack of
+same-shaped designs together, each model exactly as it would be fit alone,
+and reports a failure per model. ``fit_huber`` and ``fit_huber_adaptive`` are
+its one-model calls; Case 1 fits its subset models in a few large stacks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,34 +125,44 @@ def huber_score(r, tau: float):
     return np.clip(r, -tau, tau)
 
 
-def _median(v: np.ndarray) -> float:
-    """np.median of a float vector, without its per-call overhead: NaN if it
-    is empty or holds a NaN (partitioning sorts NaN last), else the same
-    order statistics and the same mean of the middle pair, whose sum starts
-    from +0.0 (so a zero median is +0.0)."""
-    if not v.size:
-        return math.nan
-    half = v.size // 2
-    odd = v.size % 2
-    part = np.partition(v, [half, -1] if odd else [half - 1, half, -1])
-    if part[-1] != part[-1]:
-        return math.nan
-    if odd:
-        return float(part[half]) + 0.0
-    return (float(part[half - 1] + part[half]) + 0.0) / 2
+def _median(v: np.ndarray):
+    """np.median along the last axis, without its per-call overhead: NaN
+    where a row is empty or holds a NaN (partitioning sorts NaN last), else
+    the same order statistics and the same mean of the middle pair, whose
+    sum starts from +0.0 (so a zero median is +0.0). A vector gives a float;
+    a (k, n) stack gives its k row medians, each as that row alone would."""
+    size = v.shape[-1]
+    if not size:
+        med = np.full(v.shape[:-1], math.nan)
+    else:
+        half = size // 2
+        odd = size % 2
+        part = np.partition(v, [half, -1] if odd else [half - 1, half, -1], axis=-1)
+        if odd:
+            med = part[..., half] + 0.0
+        else:
+            med = (part[..., half - 1] + part[..., half] + 0.0) / 2
+        med = np.where(part[..., -1] == part[..., -1], med, math.nan)
+    return float(med) if v.ndim == 1 else med
 
 
-def mad_scale(values) -> float:
-    """Robust scale: median absolute deviation times 1.4826."""
+def mad_scale(values):
+    """Robust scale: median absolute deviation times 1.4826, along the last
+    axis (a float for a vector, one value per row for a (k, n) stack)."""
     v = np.asarray(values, dtype=float)
-    return _median(np.abs(v - _median(v))) * MAD_SCALE
+    centre = np.asarray(_median(v))[..., None]
+    return _median(np.abs(v - centre)) * MAD_SCALE
 
 
-def robust_scale(values) -> float:
-    """mad_scale, or the standard deviation (at least 1e-12) when the MAD is 0."""
-    scale = mad_scale(values)
-    if scale <= 0:
-        scale = max(float(np.std(values)), 1e-12)
+def robust_scale(values):
+    """mad_scale, or the standard deviation (at least 1e-12) where the MAD
+    is 0; a (k, n) stack falls back row by row."""
+    v = np.asarray(values, dtype=float)
+    scale = mad_scale(v)
+    if v.ndim == 1:
+        return max(float(np.std(v)), 1e-12) if scale <= 0 else scale
+    for i in np.flatnonzero(scale <= 0):
+        scale[i] = robust_scale(v[i])
     return scale
 
 
@@ -188,43 +205,125 @@ def _huber_weights(r, tau: float) -> np.ndarray:
     return tau / np.maximum(np.abs(r), tau)
 
 
-def _irls_huber(data: Dataset, tau0: float, adapt: bool,
-                max_iter: int, tol: float) -> FittedLinear:
-    n, d = data.n, data.d
-    if n <= d + 1:
-        raise LearnerError(f"need n > d + 1, got n={n}, d={d}")
-    design = np.column_stack([np.ones(n), data.x])
-    # One SVD per fit, design = U diag(s) Vt. Its rank, by matrix_rank's and
-    # lstsq(rcond=None)'s rule, is every weighted design's rank, since the
+class HuberStack(NamedTuple):
+    """fit_huber_stack's results, one row or entry per model: ``theta`` is
+    [intercept, coef...], ``tau`` the knee of the last pass, and ``error``
+    None, or why the model failed (its other entries are then meaningless)."""
+
+    theta: np.ndarray
+    tau: np.ndarray
+    converged: np.ndarray
+    error: list
+
+
+def _each_alone(fn, *stacks):
+    """``fn`` over stacked problems. If it raises LinAlgError, each problem
+    is retried alone to find the ones that raise, and ``fn`` runs again over
+    the rest. Returns (mask of the problems kept, fn's result on them, or
+    None if none is kept)."""
+    keep = np.ones(len(stacks[0]), dtype=bool)
+    try:
+        return keep, fn(*stacks)
+    except np.linalg.LinAlgError:
+        pass
+    for i in range(keep.size):
+        try:
+            fn(*(a[i:i + 1] for a in stacks))
+        except np.linalg.LinAlgError:
+            keep[i] = False
+    return keep, fn(*(a[keep] for a in stacks)) if keep.any() else None
+
+
+def fit_huber_stack(designs, y, tau: float = 1.0, adapt: bool = True,
+                    max_iter: int = 200, tol: float = 1e-8) -> HuberStack:
+    """Huber regressions by IRLS on k designs of one shape, fit together.
+
+    ``designs`` is (k, n, d + 1) with the intercept column first and ``y`` is
+    (k, n). The knee is ``tau``, or with ``adapt`` it is recalibrated each
+    pass from the residuals' robust scale (see fit_huber_adaptive). Every
+    step runs slice by slice (a stacked SVD, row medians, batched products
+    and solves), so each model's result is the one it gets alone, bit for
+    bit, and a model that converges leaves the stack. A rank-deficient
+    design, a singular weighted Gram matrix or a non-finite fit fails its
+    own model only: a stacked SVD or solve that raises is retried model by
+    model to find the culprit.
+    """
+    designs = np.asarray(designs, dtype=float)
+    y = np.asarray(y, dtype=float)
+    k, n, p = designs.shape
+    d = p - 1
+    theta = np.zeros((k, p))
+    taus = np.full(k, float(tau))
+    converged = np.zeros(k, dtype=bool)
+    if n <= p:
+        return HuberStack(theta, taus, converged, [f"need n > d + 1, got n={n}, d={d}"] * k)
+    error: list[str | None] = [None] * k
+    # One SVD per design, design = U diag(s) Vt. Its rank, by matrix_rank's
+    # and lstsq(rcond=None)'s rule, is every weighted design's rank, since the
     # weights are strictly positive. Each pass solves the weighted normal
     # equations in the orthonormal basis U: U^T W U is as well conditioned as
     # the weights, however collinear the design, and theta = Vt^T s^-1 phi.
-    u, s, vt = np.linalg.svd(design, full_matrices=False)
-    rank = int(np.count_nonzero(s > s[0] * max(n, d + 1) * np.finfo(float).eps))
-    if rank < d + 1:
-        raise LearnerError(f"design is rank deficient (rank {rank} < {d + 1})")
-    basis_t = np.ascontiguousarray(u.T)
-    to_theta = vt.T / s
-    theta = np.zeros(d + 1)
-    theta[0] = _median(data.y)
-    tau = tau0
-    converged = False
+    ok, usv = _each_alone(partial(np.linalg.svd, full_matrices=False), designs)
+    for i in np.flatnonzero(~ok):
+        error[i] = "SVD did not converge"
+    if usv is None:
+        return HuberStack(theta, taus, converged, error)
+    u, s, vt = usv
+    act = np.flatnonzero(ok)
+    rank = np.count_nonzero(s > s[:, :1] * max(n, p) * np.finfo(float).eps, axis=1)
+    for i, r in zip(act, rank):
+        if r < p:
+            error[i] = f"design is rank deficient (rank {r} < {p})"
+    full = rank == p
+    act = act[full]
+    # Per live model: design^T, response, U^T, U and Vt / s, each stored
+    # C-ordered, so that the transposed views below (theta = (Vt / s)^T phi)
+    # give every product the same memory layout, and so the same rounding,
+    # however the stack was built or compacted.
+    stack = [np.swapaxes(designs[act], 1, 2).copy(), y[act],
+             np.swapaxes(u[full], 1, 2).copy(), u[full], vt[full] / s[full][:, :, None]]
+    theta[act, 0] = _median(stack[1])
     for _ in range(max_iter):
-        r = data.y - design @ theta
-        if adapt:
-            tau = adaptive_tau(n, d, robust_scale(r))
-        weighted_t = basis_t * _huber_weights(r, tau)
-        try:
-            phi = np.linalg.solve(weighted_t @ u, weighted_t @ data.y)
-        except np.linalg.LinAlgError:
-            raise LearnerError("weighted Gram matrix is singular") from None
-        new = to_theta @ phi
-        if np.linalg.norm(new - theta) <= tol * max(1.0, np.linalg.norm(theta)):
-            theta = new
-            converged = True
+        if not act.size:
             break
-        theta = new
-    meta = {"learner": "huber", "tau": float(tau), "converged": converged}
+        design_t, resp, basis_t, basis, _ = stack
+        fitted = np.matmul(np.swapaxes(design_t, 1, 2), theta[act][:, :, None])
+        r = resp - fitted[:, :, 0]
+        knee = adaptive_tau(n, d, robust_scale(r)) if adapt else taus[act]
+        weighted_t = basis_t * _huber_weights(r, knee[:, None])[:, None, :]
+        ok, phi = _each_alone(np.linalg.solve, np.matmul(weighted_t, basis),
+                              np.matmul(weighted_t, resp[:, :, None]))
+        if not ok.all():
+            for i in act[~ok]:
+                error[i] = "weighted Gram matrix is singular"
+            act, knee, stack = act[ok], knee[ok], [a[ok] for a in stack]
+            if not act.size:
+                break
+        old = theta[act]
+        new = np.matmul(np.swapaxes(stack[4], 1, 2), phi)[:, :, 0]
+        done = (np.linalg.norm(new - old, axis=1)
+                <= tol * np.maximum(1.0, np.linalg.norm(old, axis=1)))
+        theta[act] = new
+        taus[act] = knee
+        converged[act[done]] = True
+        if done.any():
+            act, stack = act[~done], [a[~done] for a in stack]
+    for i in np.flatnonzero(~np.all(np.isfinite(theta), axis=1)):
+        error[i] = error[i] or "fitted parameters are not finite"
+    return HuberStack(theta, taus, converged, error)
+
+
+def _fit_one(data: Dataset, tau: float, adapt: bool, max_iter: int,
+             tol: float) -> FittedLinear:
+    """One Huber fit: fit_huber_stack on a stack of one design."""
+    design = np.column_stack([np.ones(data.n), data.x])
+    fit = fit_huber_stack(design[None], data.y[None], tau=tau, adapt=adapt,
+                          max_iter=max_iter, tol=tol)
+    if fit.error[0] is not None:
+        raise LearnerError(fit.error[0])
+    theta = fit.theta[0]
+    converged = bool(fit.converged[0])
+    meta = {"learner": "huber", "tau": float(fit.tau[0]), "converged": converged}
     if not converged:
         meta["not_converged"] = True
     return FittedLinear(intercept=float(theta[0]), coef=theta[1:], meta=meta)
@@ -235,7 +334,7 @@ def fit_huber(data: Dataset, tau: float, max_iter: int = 200,
     """Huber regression at a fixed robustification parameter."""
     if tau <= 0:
         raise ContractError("tau must be positive")
-    return _irls_huber(data, tau, adapt=False, max_iter=max_iter, tol=tol)
+    return _fit_one(data, tau, adapt=False, max_iter=max_iter, tol=tol)
 
 
 def fit_huber_adaptive(data: Dataset, max_iter: int = 200,
@@ -248,7 +347,7 @@ def fit_huber_adaptive(data: Dataset, max_iter: int = 200,
     change <= tol; a run that exhausts max_iter is returned with a
     ``not_converged`` flag rather than discarded.
     """
-    return _irls_huber(data, tau0=1.0, adapt=True, max_iter=max_iter, tol=tol)
+    return _fit_one(data, 1.0, adapt=True, max_iter=max_iter, tol=tol)
 
 
 def _huber_objective(r, tau: float) -> float:

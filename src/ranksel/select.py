@@ -348,7 +348,6 @@ def panel_from_folds(candidates, data: Dataset, folds, loss: LossFn):
     for k, model_id in enumerate(ids):
         if model_id in ids[:k]:
             raise ContractError(f"candidate id {model_id!r} is repeated")
-    rows = np.sort(np.concatenate(folds))
     losses = np.empty((data.n, len(ids)))
     failed = set()
     for fold in folds:
@@ -365,9 +364,18 @@ def panel_from_folds(candidates, data: Dataset, folds, loss: LossFn):
                 failed.add(c.model_id)
             else:
                 losses[fold, j] = loss_eval(loss, resid)
+    return survivor_panel(losses, folds, ids, failed)
+
+
+def survivor_panel(losses: np.ndarray, folds, ids, failed):
+    """The (panel, sorted failed ids) that panel_from_folds returns, from its
+    (n, len(ids)) out-of-fold losses: the rows the folds cover, in ascending
+    order, and the columns whose id is not in ``failed`` (None if fewer than
+    two)."""
     keep = [j for j, model_id in enumerate(ids) if model_id not in failed]
     if len(keep) < 2:
         return None, sorted(failed)
+    rows = np.sort(np.concatenate(folds))
     panel = LossPanel(losses=losses[np.ix_(rows, keep)],
                       model_ids=tuple(ids[j] for j in keep))
     return panel, sorted(failed)

@@ -3,10 +3,13 @@
 Case 1 draws low-dimensional regressions with t-distributed designs and
 Cauchy noise, fits every intercept-bearing covariate subset by adaptive
 Huber regression, and compares the selection methods on out-of-fold Huber
-losses. Case 2 draws high-dimensional AR(1)-correlated Gaussian designs
-with t noise and treats a 50-point lasso penalty path as the candidate
-family; the sparsest penalty in each confidence set is refit on the full
-data after the fold-size correction.
+losses. ``subset_panel`` fits the subset models of one size and one
+training size, across all folds, in one stacked IRLS call;
+``subset_candidates`` is the same family as one candidate per subset. Case 2
+draws high-dimensional AR(1)-correlated Gaussian designs with t noise and
+treats a 50-point lasso penalty path as the candidate family; the sparsest
+penalty in each confidence set is refit on the full data after the
+fold-size correction.
 
 Replicates are independent jobs keyed by (seed, replicate); running them
 across processes changes nothing but wall time.
@@ -24,13 +27,16 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 from .models import (Dataset, FittedLinear, LossFn, adaptive_tau, enumerate_subsets,
-                     fit_huber_adaptive, fit_huber_lasso, huber_lasso_lipschitz,
-                     huber_location, lambda_fold_correction, lambda_path, loss_eval,
-                     robust_scale, subset_mask_id)
+                     fit_huber_adaptive, fit_huber_lasso, fit_huber_stack,
+                     huber_lasso_lipschitz, huber_location, lambda_fold_correction,
+                     lambda_path, loss_eval, robust_scale, subset_mask_id)
 from .ranksum import LossPanel
 from .rng import keyed_stream, subseed
-from .select import (Candidate, SelectionConfig, cv_select, cvc_style_select,
-                     make_folds, panel_from_folds, pcv_select, rsr_from_panel)
+# panel_from_folds is no longer called here, but perfbench/tracing.py wraps
+# this module's attribute (ROADMAP item 9).
+from .select import (Candidate, SelectionConfig, cv_select,  # noqa: F401
+                     cvc_style_select, make_folds, panel_from_folds, pcv_select,
+                     rsr_from_panel, survivor_panel)
 
 TAG_C1_DATA = 201
 TAG_C1_FOLDS = 202
@@ -170,10 +176,14 @@ def ar1_design(n: int, p: int, rho: float, stream: np.random.Generator) -> np.nd
     return x
 
 
+def _huber_centre(y: np.ndarray) -> float:
+    """The intercept-only model's fit: Huber location at the adaptive knee."""
+    return huber_location(y, adaptive_tau(y.size, 0, robust_scale(y)))
+
+
 def _intercept_only_fitter(d: int):
     def fit(data):
-        tau = adaptive_tau(data.n, 0, robust_scale(data.y))
-        return FittedLinear(intercept=huber_location(data.y, tau), coef=np.zeros(d))
+        return FittedLinear(intercept=_huber_centre(data.y), coef=np.zeros(d))
     return fit
 
 
@@ -194,6 +204,50 @@ def subset_candidates(d: int = CASE1_D) -> list[Candidate]:
     """All 2^d intercept-bearing subset models fit by adaptive Huber."""
     return [Candidate(model_id=subset_mask_id(s, d), fit=_subset_fitter(s, d))
             for s in enumerate_subsets(d)]
+
+
+def subset_panel(data: Dataset, folds, loss: LossFn, d: int = CASE1_D):
+    """``panel_from_folds(subset_candidates(d), data, folds, loss)``: the same
+    out-of-fold panel, column order and failed ids, bit for bit, from one
+    fit_huber_stack call per (subset size, training size) across all folds.
+    A model fails if its fit fails or its residuals are not finite on any
+    fold; the intercept-only model is fit by huber_location, fold by fold."""
+    subsets = enumerate_subsets(d)
+    ids = [subset_mask_id(sub, d) for sub in subsets]
+    trains = [np.setdiff1d(np.arange(data.n), fold) for fold in folds]
+    x_trains = [data.x[train] for train in trains]
+    y_trains = [data.y[train] for train in trains]
+    # theta[f, j]: [intercept, coef] of model j trained without fold f, its
+    # coef zero off subset j, as _subset_fitter pads it.
+    theta = np.zeros((len(folds), len(subsets), d + 1))
+    theta[:, 0, 0] = [_huber_centre(y_train) for y_train in y_trains]
+    failed = set()
+    for size in range(1, d + 1):
+        js = np.array([j for j, sub in enumerate(subsets) if len(sub) == size])
+        cols = np.array([subsets[j] for j in js])
+        for n_train in sorted({train.size for train in trains}):
+            fs = np.array([f for f, train in enumerate(trains) if train.size == n_train])
+            designs = np.ones((fs.size, js.size, n_train, size + 1))
+            for a, f in enumerate(fs):
+                designs[a, :, :, 1:] = np.swapaxes(x_trains[f][:, cols], 0, 1)
+            ys = np.repeat(np.stack([y_trains[f] for f in fs])[:, None], js.size, axis=1)
+            fit = fit_huber_stack(designs.reshape(-1, n_train, size + 1),
+                                  ys.reshape(-1, n_train))
+            failed.update(ids[js[i % js.size]] for i, e in enumerate(fit.error)
+                          if e is not None)
+            th = fit.theta.reshape(fs.size, js.size, size + 1)
+            theta[fs[:, None], js, 0] = th[:, :, 0]
+            theta[fs[:, None, None], js[:, None], 1 + cols] = th[:, :, 1:]
+    losses = np.empty((data.n, len(subsets)))
+    for f, fold in enumerate(folds):
+        # One gemv per model, as FittedLinear.predict makes it.
+        pred = theta[f, :, :1] + np.matmul(data.x[fold], theta[f, :, 1:, None])[:, :, 0]
+        resid = data.y[fold] - pred
+        finite = np.all(np.isfinite(resid), axis=1)
+        failed.update(ids[j] for j in np.flatnonzero(~finite))
+        resid[~finite] = 0.0
+        losses[fold] = loss_eval(loss, resid.T)
+    return survivor_panel(losses, folds, ids, failed)
 
 
 def _selection_config(case_cfg, seed: int) -> SelectionConfig:
@@ -241,9 +295,8 @@ def case1_replicate(config: Case1Config, rep: int) -> list[dict]:
 
     loss = LossFn("huber", tau=adaptive_tau(n, d, robust_scale(y)))
 
-    candidates = subset_candidates(d)
     folds = make_folds(n, config.V, subseed(config.seed, TAG_C1_FOLDS, rep))
-    panel, failed = panel_from_folds(candidates, data, folds, loss)
+    panel, failed = subset_panel(data, folds, loss, d)
     if panel is None:
         raise ConfigError("fewer than two candidates survived training")
     true_id = subset_mask_id(CASE1_TRUE_SUBSET, d)

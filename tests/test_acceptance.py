@@ -176,8 +176,12 @@ def _shared_cauchy_losses(stream, n, p):
 
 def test_criterion_04_high_dimensional_gaussian_approximation():
     # Criterion 4's construction with p = n competitors and dependent columns.
-    # At (n, p) = (100, 400) the same check fails: the bootstrap minimum sits
-    # above the Monte-Carlo one (ROADMAP item 5).
+    # A one-panel KS compares a bootstrap conditional on one heavy-tailed
+    # panel with an unconditional Monte-Carlo minimum, so it exceeds 0.1 on a
+    # sizable share of panels at every shape tried, (200, 200) included
+    # (ROADMAP item 5: 7 of 24 fresh panels there, 13 of 24 at (100, 400)).
+    # Pooled over panels the KS and the panel-level size looked fine. This
+    # check holds at its pinned seed; it does not certify the shape.
     n, p, b_draws, mc_reps = 200, 200, 2000, 600
     ids = tuple(f"c{j}" for j in range(p + 1))
     panel = LossPanel(losses=_shared_cauchy_losses(keyed_stream(ACCEPT_SEED, 44, n, p),

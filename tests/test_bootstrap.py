@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from ranksel import (BootstrapConfig, ContractError, multiplier_min_bootstrap,
-                     normal_quantile, p_value, run_min_bootstrap)
+from ranksel import (BootstrapConfig, ContractError, SelectionConfig,
+                     multiplier_min_bootstrap, normal_quantile, p_value,
+                     run_min_bootstrap)
 
 
 def _centered(rng, n, p):
@@ -86,6 +87,13 @@ class TestBootstrapConfig:
         with pytest.warns(UserWarning) as caught:
             BootstrapConfig(B=100, seed=0)
         # the warning names the caller, not the dataclass-generated __init__
+        assert [w.filename for w in caught] == [__file__]
+
+    def test_low_draws_warn_through_selection_config(self):
+        # SelectionConfig builds the BootstrapConfig; the warning still names
+        # the first caller outside the package, not select.py.
+        with pytest.warns(UserWarning) as caught:
+            SelectionConfig(seed=1, B=200)
         assert [w.filename for w in caught] == [__file__]
 
     def test_default_is_quiet(self, recwarn):

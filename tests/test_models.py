@@ -8,8 +8,8 @@ from ranksel import (ContractError, Dataset, DataError, LearnerError, LossFn,
                      fit_huber_lasso, fit_ols, huber_location, lambda_fold_correction,
                      lambda_path, loss_eval, mad_scale, make_folds, panel_from_folds)
 from ranksel import models
-from ranksel.models import (_huber_weights, _median, huber_lasso_lipschitz, huber_score,
-                             robust_scale, subset_mask_id)
+from ranksel.models import (_huber_weights, _median, fit_huber_stack, huber_lasso_lipschitz,
+                             huber_score, robust_scale, subset_mask_id)
 from ranksel.rng import keyed_stream
 from ranksel.simlab import TAG_C2_DATA, ar1_design, subset_candidates
 
@@ -253,6 +253,101 @@ class TestIrlsCore:
                     fit_huber(data, tau=1.0, max_iter=1)):
             assert fit.meta["converged"] is False
             assert fit.meta["not_converged"] is True
+
+
+class TestFitHuberStack:
+    """Each model of a stack gets what it would get alone, bit for bit."""
+
+    @staticmethod
+    def _stack(rng, k, n, d):
+        designs = np.ones((k, n, d + 1))
+        designs[:, :, 1:] = rng.standard_t(3, size=(k, n, d))
+        y = (0.5 + designs[:, :, 1:] @ np.linspace(1.0, -1.0, d)
+             + rng.standard_t(2, size=(k, n)))
+        return designs, y
+
+    @staticmethod
+    def _assert_rows_alone(fit, designs, y, rows, **kwargs):
+        for i in rows:
+            one = fit_huber_stack(designs[i:i + 1], y[i:i + 1], **kwargs)
+            assert fit.theta[i].tobytes() == one.theta[0].tobytes(), i
+            assert fit.tau[i] == one.tau[0], i
+            assert fit.converged[i] == one.converged[0], i
+            assert fit.error[i] == one.error[0], i
+
+    @pytest.mark.parametrize("adapt", [True, False])
+    def test_each_model_matches_its_own_call(self, adapt):
+        designs, y = self._stack(np.random.default_rng(20), 12, 60, 3)
+        fit = fit_huber_stack(designs, y, tau=1.5, adapt=adapt)
+        assert fit.error == [None] * 12 and fit.converged.all()
+        self._assert_rows_alone(fit, designs, y, range(12), tau=1.5, adapt=adapt)
+
+    def test_one_call_is_fit_huber_adaptive(self):
+        data = _heavy_tailed(np.random.default_rng(23), 50, 2, 3)
+        design = np.column_stack([np.ones(50), data.x])
+        fit = fit_huber_stack(design[None], data.y[None])
+        single = fit_huber_adaptive(data)
+        assert fit.theta[0].tobytes() == np.r_[single.intercept, single.coef].tobytes()
+        assert single.meta["tau"] == fit.tau[0]
+
+    def test_only_the_model_that_hits_max_iter_is_not_converged(self):
+        designs, y = self._stack(np.random.default_rng(21), 6, 60, 2)
+        # Model 4 has scaled Cauchy noise, so it needs the most passes.
+        y[4] = (0.5 + designs[4, :, 1:] @ np.array([1.0, -1.0])
+                + 10 * np.random.default_rng(5).standard_cauchy(60))
+
+        def passes(i):
+            return next(m for m in range(1, 200) if fit_huber_stack(
+                designs[i:i + 1], y[i:i + 1], max_iter=m).converged[0])
+
+        needed = [passes(i) for i in range(6)]
+        cap = sorted(needed)[-2]
+        assert needed.index(max(needed)) == 4 and max(needed) > cap
+        fit = fit_huber_stack(designs, y, max_iter=cap)
+        assert fit.converged.tolist() == [i != 4 for i in range(6)]
+        assert fit.error == [None] * 6
+        self._assert_rows_alone(fit, designs, y, range(6), max_iter=cap)
+        flags = [fit_huber_adaptive(Dataset(x=designs[i, :, 1:], y=y[i]), max_iter=cap)
+                 .meta.get("not_converged", False) for i in range(6)]
+        assert flags == [i == 4 for i in range(6)]
+
+    def test_zero_mad_falls_back_to_std_for_that_model_alone(self):
+        designs, y = self._stack(np.random.default_rng(24), 4, 41, 1)
+        # Model 2's response is 3.0 at 25 of 41 points, so the first pass's
+        # residuals about the median start have a MAD of exactly 0.
+        y[2, :25] = 3.0
+        assert mad_scale(y[2] - np.median(y[2])) == 0.0
+        fit = fit_huber_stack(designs, y)
+        assert fit.error == [None] * 4 and fit.converged.all()
+        self._assert_rows_alone(fit, designs, y, range(4))
+        rows = np.stack([y[2] - np.median(y[2]), y[0]])
+        assert robust_scale(rows).tolist() == [float(np.std(rows[0])), mad_scale(rows[1])]
+
+    def test_rank_deficient_design_fails_only_its_model(self):
+        designs, y = self._stack(np.random.default_rng(25), 5, 50, 2)
+        designs[1, :, 2] = designs[1, :, 1]
+        fit = fit_huber_stack(designs, y)
+        assert fit.error == [None, "design is rank deficient (rank 2 < 3)", None, None, None]
+        self._assert_rows_alone(fit, designs, y, [0, 2, 3, 4])
+
+    def test_singular_gram_fails_only_its_model(self, monkeypatch):
+        designs, y = self._stack(np.random.default_rng(22), 5, 50, 2)
+        y[3] *= 1e6   # marks model 3's right-hand sides
+        real_solve = np.linalg.solve
+        calls = []
+
+        def solve(a, b):
+            calls.append(len(a))
+            if np.abs(b).max() > 1e4:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        fit = fit_huber_stack(designs, y)
+        assert fit.error == [None, None, None, "weighted Gram matrix is singular", None]
+        # the stacked solve, then one retry per model, then the four together
+        assert calls[:7] == [5, 1, 1, 1, 1, 1, 4]
+        self._assert_rows_alone(fit, designs, y, [0, 1, 2, 4])
 
 
 class TestHuberLocation:

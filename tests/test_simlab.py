@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from ranksel import (Candidate, Case1Config, Case2Config, ConfigError, Dataset,
-                     LearnerError, keyed_stream, run_case1, run_case2, sample_student_t,
+from ranksel import (Case1Config, Case2Config, ConfigError, Dataset, LossFn,
+                     adaptive_tau, enumerate_subsets, keyed_stream, make_folds,
+                     panel_from_folds, run_case1, run_case2, sample_student_t,
                      subset_candidates)
-from ranksel.simlab import ar1_design, case1_replicate, case2_replicate
+from ranksel.models import robust_scale, subset_mask_id
+from ranksel.simlab import (CASE1_BETA, TAG_C1_DATA, ar1_design, case1_replicate,
+                            case2_replicate, subset_panel)
 
 
 class TestStudentT:
@@ -76,6 +79,48 @@ class TestSubsetCandidates:
             assert fit.coef.shape == (4,)
 
 
+def _case1_data(seed, n):
+    rng = keyed_stream(seed, TAG_C1_DATA, 0)
+    x = sample_student_t(3.0, rng, size=(n, 4))
+    y = CASE1_BETA[0] + x @ CASE1_BETA[1:] + sample_student_t(1.0, rng, size=n)
+    return x, y
+
+
+class TestSubsetPanel:
+    """The stacked Case 1 panel against the per-candidate route it replaces."""
+
+    @staticmethod
+    def _assert_same_as_per_candidate(x, y, v_folds, seed):
+        data = Dataset(x=x, y=y)
+        loss = LossFn("huber", tau=adaptive_tau(data.n, 4, robust_scale(y)))
+        folds = make_folds(data.n, v_folds, seed)
+        want_panel, want_failed = panel_from_folds(subset_candidates(4), data, folds, loss)
+        got_panel, got_failed = subset_panel(data, folds, loss)
+        assert got_failed == want_failed
+        assert got_panel.model_ids == want_panel.model_ids
+        assert got_panel.losses.tobytes() == want_panel.losses.tobytes()
+        return got_panel, got_failed
+
+    @pytest.mark.parametrize("seed", [3, 17, 401])
+    def test_matches_per_candidate_panel(self, seed):
+        panel, failed = self._assert_same_as_per_candidate(*_case1_data(seed, 320), 5, seed)
+        assert failed == [] and panel.losses.shape == (320, 16)
+
+    def test_unequal_training_sizes(self):
+        # 43 = 5 * 8 + 3: three folds of 9 and two of 8, so the training sets
+        # hold 34 or 35 points and each subset size takes two stacks.
+        panel, _ = self._assert_same_as_per_candidate(*_case1_data(5, 43), 5, 5)
+        assert panel.n == 43
+
+    def test_duplicated_column_fails_exactly_the_subsets_holding_both(self):
+        x, y = _case1_data(9, 80)
+        x[:, 3] = x[:, 1]
+        panel, failed = self._assert_same_as_per_candidate(x, y, 5, 9)
+        both = sorted(subset_mask_id(s, 4) for s in enumerate_subsets(4) if {1, 3} <= set(s))
+        assert failed == both and len(both) == 4
+        assert panel.n_models == 12
+
+
 class TestCase1:
     def test_smoke_report_shape(self):
         report = run_case1(Case1Config(n=40, x_df=3, seed=1, reps=2))
@@ -110,12 +155,15 @@ class TestCase1:
         # RSR without screening bootstraps all 15 * 14 pairs.
         import ranksel.simlab as simlab_mod
 
-        def refuse(data):
-            raise LearnerError("training refused")
+        fit_huber_stack = simlab_mod.fit_huber_stack
 
-        cands = subset_candidates(4)
-        cands[-1] = Candidate(model_id=cands[-1].model_id, fit=refuse)
-        monkeypatch.setattr(simlab_mod, "subset_candidates", lambda d: cands)
+        def refuse_full_model(designs, y, **kwargs):
+            fit = fit_huber_stack(designs, y, **kwargs)
+            if designs.shape[2] == 5:   # intercept + 4 covariates: the full model
+                fit.error[:] = ["training refused"] * len(fit.error)
+            return fit
+
+        monkeypatch.setattr(simlab_mod, "fit_huber_stack", refuse_full_model)
         report = run_case1(Case1Config(n=40, x_df=3, seed=1, reps=2, methods=("rsr",),
                                        screening=False))
         assert [(r["n_failed"], r["bootstrap_columns"], r["screening_reduced"])
