@@ -227,9 +227,9 @@ def subset_panel(data: Dataset, folds, loss: LossFn, d: int = CASE1_D):
         cols = np.array([subsets[j] for j in js])
         for n_train in sorted({train.size for train in trains}):
             fs = np.array([f for f, train in enumerate(trains) if train.size == n_train])
+            x_fs = np.stack([x_trains[f] for f in fs])[:, :, cols]   # (f, n, j, size)
             designs = np.ones((fs.size, js.size, n_train, size + 1))
-            for a, f in enumerate(fs):
-                designs[a, :, :, 1:] = np.swapaxes(x_trains[f][:, cols], 0, 1)
+            designs[..., 1:] = np.swapaxes(x_fs, 1, 2)
             ys = np.repeat(np.stack([y_trains[f] for f in fs])[:, None], js.size, axis=1)
             fit = fit_huber_stack(designs.reshape(-1, n_train, size + 1),
                                   ys.reshape(-1, n_train))
