@@ -299,10 +299,10 @@ def fit_huber_stack(designs, y, tau: float = 1.0, adapt: bool = True,
             act, knee, stack = act[ok], knee[ok], [a[ok] for a in stack]
             if not act.size:
                 break
-        old = theta[act]
-        new = np.matmul(np.swapaxes(stack[4], 1, 2), phi)[:, :, 0]
-        done = (np.linalg.norm(new - old, axis=1)
-                <= tol * np.maximum(1.0, np.linalg.norm(old, axis=1)))
+        prev = theta[act]
+        new = np.matmul(np.swapaxes(stack[4], 1, 2), phi)[:, :, 0]   # (Vt / s)^T phi
+        done = (np.linalg.norm(new - prev, axis=1)
+                <= tol * np.maximum(1.0, np.linalg.norm(prev, axis=1)))
         theta[act] = new
         taus[act] = knee
         converged[act[done]] = True
