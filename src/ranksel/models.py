@@ -43,7 +43,9 @@ class Dataset:
     y: np.ndarray   # (n,)
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
+        # One memory layout for every learner: BLAS products round
+        # differently on row-major and column-major copies of one matrix.
+        x = np.ascontiguousarray(self.x, dtype=float)
         y = np.asarray(self.y, dtype=float)
         if x.ndim != 2:
             raise ContractError("x must be an n x d matrix")
@@ -127,22 +129,27 @@ def huber_score(r, tau: float):
 
 def _median(v: np.ndarray):
     """np.median along the last axis, without its per-call overhead: NaN
-    where a row is empty or holds a NaN (partitioning sorts NaN last), else
-    the same order statistics and the same mean of the middle pair, whose
-    sum starts from +0.0 (so a zero median is +0.0). A vector gives a float;
-    a (k, n) stack gives its k row medians, each as that row alone would."""
+    where a row is empty or holds a NaN (sorting puts NaN last), else the
+    same order statistics and the same mean of the middle pair, whose sum
+    starts from +0.0 (so a zero median is +0.0). A vector gives a float;
+    a (k, n) stack gives its k row medians, each as that row alone would.
+
+    The order statistics come from one full sort rather than np.partition
+    with the two middle pivots and the last one: on a (30, 256) stack, the
+    shape of Case 1's IRLS residuals, the three-pivot partition took 91 us
+    and the sort 17 us (NumPy 2.4.6). Both give the same numbers, and equal
+    values differ at most in the sign of a zero, which the +0.0 removes."""
     size = v.shape[-1]
     if not size:
         med = np.full(v.shape[:-1], math.nan)
     else:
         half = size // 2
-        odd = size % 2
-        part = np.partition(v, [half, -1] if odd else [half - 1, half, -1], axis=-1)
-        if odd:
-            med = part[..., half] + 0.0
+        ordered = np.sort(v, axis=-1)
+        if size % 2:
+            med = ordered[..., half] + 0.0
         else:
-            med = (part[..., half - 1] + part[..., half] + 0.0) / 2
-        med = np.where(part[..., -1] == part[..., -1], med, math.nan)
+            med = (ordered[..., half - 1] + ordered[..., half] + 0.0) / 2
+        med = np.where(ordered[..., -1] == ordered[..., -1], med, math.nan)
     return float(med) if v.ndim == 1 else med
 
 

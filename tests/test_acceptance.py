@@ -198,6 +198,33 @@ def test_criterion_04_high_dimensional_gaussian_approximation():
            f"KS(bootstrap, Monte-Carlo min) = {ks:.4f} <= 0.1")
 
 
+@pytest.mark.parametrize("n, p", [(100, 400), (100, 90)])
+def test_criterion_04_pooled_gaussian_approximation(n, p):
+    # The high-dimensional check's construction, with the bootstrap draws
+    # pooled over fresh panels: 250 draws from each of 24 panels (the first
+    # 250 of B = 500; draw b depends on the seed and b alone), each panel
+    # with its own multiplier seed. Pooling averages out the panel the
+    # one-panel check conditions on, which is what fails at these shapes
+    # (ROADMAP item 5). Seeds and the bound were fixed before the first run.
+    panels, per_panel, mc_reps = 24, 250, 600
+    ids = tuple(f"c{j}" for j in range(p + 1))
+    draws = []
+    for s in range(panels):
+        losses = _shared_cauchy_losses(keyed_stream(ACCEPT_SEED, 46, n, p, s), n, p)
+        psi = pair_stats(LossPanel(losses, ids), 0).psi
+        config = BootstrapConfig(B=500, seed=ACCEPT_SEED + s)
+        draws.append(multiplier_min_bootstrap(psi, config)[:per_panel])
+    draws = np.concatenate(draws)
+    mc_vals = np.empty(mc_reps)
+    for r in range(mc_reps):
+        losses = _shared_cauchy_losses(keyed_stream(ACCEPT_SEED, 47, n, p, r), n, p)
+        mc_vals[r] = np.sqrt(n) * pair_stats(LossPanel(losses, ids), 0).mu.min()
+    ks = float(ks_2samp(draws, mc_vals).statistic)
+    assert ks <= 0.1
+    _ok(4, f"(n, p) = ({n}, {p}), {panels} panels x {per_panel} draws pooled: "
+           f"KS(bootstrap, Monte-Carlo min) = {ks:.4f} <= 0.1")
+
+
 # ---------------------------------------------------------------------------
 # criteria 5 and 9: subset-selection study
 

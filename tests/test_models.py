@@ -433,6 +433,19 @@ class TestHuberLasso:
             fit_huber_lasso(data, lam=0.1, tau=1.0,
                             init=FittedLinear(intercept=0.0, coef=np.zeros(2)))
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fit_does_not_depend_on_the_design_layout(self, seed):
+        # x @ beta and x.T @ psi run different BLAS kernels, and round
+        # differently, on row-major and column-major copies of one design.
+        data = self._toy(n=60, d=30, seed=seed, rho=0.5)
+        copies = [Dataset(x=layout(data.x), y=data.y)
+                  for layout in (np.ascontiguousarray, np.asfortranarray)]
+        fits = [fit_huber_lasso(copy, lam=0.05, tau=1.0) for copy in copies]
+        row_major, col_major = (np.concatenate([[f.intercept], f.coef]).tobytes()
+                                for f in fits)
+        assert row_major == col_major
+        assert all(copy.x.flags.c_contiguous for copy in copies)
+
 
 class TestLambdaPath:
     def test_single_value(self):
@@ -505,6 +518,55 @@ def _median_cases():
     return cases
 
 
+def _stacks():
+    """(k, n) stacks whose rows hit every branch of _median: NaN rows, +-inf,
+    zeros of both signs at odd and even widths, heavy ties, width 0, and the
+    (30, 256) Student-t shape of Case 1's IRLS residuals."""
+    rng = np.random.default_rng(17)
+    nan_rows = rng.standard_normal((5, 8))
+    nan_rows[1, 3] = nan_rows[3, 0] = nan_rows[3, 7] = np.nan
+    infs = np.array([[np.inf, 1.0, 2.0], [-np.inf, 1.0, 2.0], [np.inf, -np.inf, 0.5],
+                     [np.inf, np.inf, -1.0], [-np.inf, -np.inf, np.inf]])
+    even_infs = np.array([[np.inf, -np.inf, 1.0, 2.0], [np.inf, np.inf, 0.0, 1.0],
+                          [-np.inf, 3.0, 4.0, 5.0]])
+    stacks = [nan_rows, infs, even_infs, np.empty((3, 0)),
+              rng.standard_t(3, size=(30, 256))]
+    for width in (5, 6, 41, 42):
+        zeros = rng.choice([-0.0, 0.0], size=(12, width))
+        zeros[6:, :width // 3] = rng.choice([-1.0, 1.0], size=(6, width // 3))
+        stacks.append(zeros)
+        stacks.append(rng.integers(0, 3, size=(12, width)).astype(float))   # heavy ties
+    return stacks
+
+
+def _same_bits(got, ref):
+    """Equal down to the sign of a zero; any NaN matches any NaN."""
+    if math.isnan(ref):
+        return math.isnan(got)
+    return got == ref and math.copysign(1.0, got) == math.copysign(1.0, ref)
+
+
+class TestStackedMedians:
+    """A (k, n) stack gives, row by row, the bits of the one-row call and of
+    np.median: the stacked IRLS relies on it to fit each model as if alone."""
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value",
+                                "ignore:Mean of empty slice")
+    @pytest.mark.parametrize("stack", _stacks(), ids=lambda s: "x".join(map(str, s.shape)))
+    def test_rows_match_the_one_row_call_and_np_median(self, stack):
+        medians, mads, scales = _median(stack), mad_scale(stack), robust_scale(stack)
+        assert medians.shape == mads.shape == scales.shape == stack.shape[:1]
+        for i, row in enumerate(stack):
+            ref_median = float(np.median(row))
+            ref_mad = float(np.median(np.abs(row - np.median(row))) * 1.4826)
+            ref_scale = (ref_mad if math.isnan(ref_mad) or ref_mad > 0
+                         else max(float(np.std(row)), 1e-12))
+            for got, alone, ref in ((medians[i], _median(row), ref_median),
+                                    (mads[i], mad_scale(row), ref_mad),
+                                    (scales[i], robust_scale(row), ref_scale)):
+                assert _same_bits(float(got), alone) and _same_bits(alone, ref)
+
+
 class TestHelpers:
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value",
                                 "ignore:Mean of empty slice")
@@ -512,10 +574,7 @@ class TestHelpers:
     def test_median_and_mad_match_np_median_bitwise(self, v):
         ref_mad = float(np.median(np.abs(v - np.median(v))) * 1.4826)
         for got, ref in ((_median(v), float(np.median(v))), (mad_scale(v), ref_mad)):
-            if math.isnan(ref):
-                assert math.isnan(got)
-            else:   # equal, down to the sign of a zero
-                assert got == ref and math.copysign(1.0, got) == math.copysign(1.0, ref)
+            assert _same_bits(got, ref)
 
     def test_weights_match_masked_form(self):
         tau = 0.75
