@@ -76,19 +76,22 @@ def _read_csv_rows(path):
 
 
 def _parse_rows(rows, header, cols) -> np.ndarray:
-    """Columns ``cols`` of the rows as a float array.
+    """Columns ``cols`` of the rows as a C-ordered float array.
 
-    A bad cell raises the DataError of ``_parse_cell`` for the first bad
-    cell in row order; the per-cell loop runs only when one exists.
+    NumPy converts every cell in one call, parsing each string as
+    ``float()`` does. A bad cell raises the DataError of ``_parse_cell``
+    for the first bad cell in row order; the per-cell loop runs only when
+    one exists.
     """
-    out = np.empty((len(rows), len(cols)))
     try:
-        for i, (_, row) in enumerate(rows):
-            out[i] = [float(row[j]) for j in cols]
+        values = np.array([row for _, row in rows], dtype=float)
+        # reshape: a header-only file gives shape (0,); take keeps C order.
+        out = values.reshape(len(rows), len(header)).take(cols, axis=1)
         if np.isfinite(out).all():
             return out
     except ValueError:
         pass
+    out = np.empty((len(rows), len(cols)))
     for i, (line_no, row) in enumerate(rows):
         for k, j in enumerate(cols):
             out[i, k] = _parse_cell(row[j].strip(), line_no, header[j])

@@ -14,15 +14,17 @@ errors feed the Gaussian multiplier bootstrap in :mod:`ranksel.bootstrap`.
 Cost: a panel ranks all of its nM losses together once (dense ranks, so
 equal losses share a rank). One reference's counts against all p = M - 1
 competitors then come from one pass over (p, n) integer arrays: the
-reference's cumulative count over the d distinct ranks, gathered at the
-competitors' ranks, and one per-competitor ``bincount`` + ``cumsum``. Its
-working memory is O(d + nM), with no search and no loop over pairs
-without ties. Tie coins cost O(tied cells) and are only drawn, from a
-stream created on demand, for pairs that have a tied cell; they are drawn
-in chunks of whole rows, so the working memory of a tie-heavy pair is
-bounded by the chunk size, not by its tied-cell count. A brute-force
-O(n^2) evaluation with the same tie stream produces bit-identical results
-(the tests rely on this).
+reference's cumulative count over the d distinct ranks (one ``np.repeat``
+of 0..n over the gaps between its sorted ranks), gathered at the
+competitors' ranks, and one per-competitor ``bincount`` + ``cumsum``. When
+d = nM no loss occurs twice, so no pair has a tied cell and the tie gather
+and scan are skipped. Its working memory is O(d + nM), with no search and
+no loop over pairs without ties. Tie coins cost O(tied cells) and are only
+drawn, from a stream created on demand, for pairs that have a tied cell;
+they are drawn in chunks of whole rows, so the working memory of a
+tie-heavy pair is bounded by the chunk size, not by its tied-cell count. A
+brute-force O(n^2) evaluation with the same tie stream produces
+bit-identical results (the tests rely on this).
 """
 
 from __future__ import annotations
@@ -150,16 +152,22 @@ def _reference_counts(panel: LossPanel, m: int, stream=None):
     ranks, d = panel._ranks
     competitors = np.delete(np.arange(panel.n_models), m)
     # below[r] = #{k : rank(a_k) < r}, so below[r_b] counts the a below b
-    # and below[r_b + 1] those at or below it. Counts fit n's smallest type.
-    below = np.bincount(ranks[m] + 1, minlength=d + 1).astype(np.min_scalar_type(n))
-    np.cumsum(below, out=below)
+    # and below[r_b + 1] those at or below it. With s = a's sorted ranks,
+    # s[-1] = -1 and s[n] = d, below is i on the ranks s[i-1] + 1 .. s[i].
+    # Counts fit n's smallest type.
+    below = np.repeat(np.arange(n + 1, dtype=np.min_scalar_type(n)),
+                      np.diff(np.sort(ranks[m]), prepend=-1, append=d))
     own = below[ranks[m]]          # a_k's first position in a's sorted order
     others = ranks[competitors]
-    col, right = below[others], below[1:][others]
+    col = below[others]
+    # With d = nM distinct losses no cell is tied, so no b sits at an a.
+    right = col if d == ranks.size else below[1:][others]
     # b_l <= a_k iff col[l] <= own[k]; b_l < a_k iff right[l] <= own[k].
     hi = _at_or_below(col, own)
     se = _se_from_counts(hi, right, n)
-    tied = np.flatnonzero((col != right).any(axis=1)) if stream is not None else ()
+    tied = ()
+    if stream is not None and right is not col:
+        tied = np.flatnonzero((col != right).any(axis=1))
     row = np.subtract(n, hi, dtype=float)
     col = col.astype(float)
     for idx in tied:

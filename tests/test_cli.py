@@ -74,6 +74,8 @@ class TestPanelCsvRoundTrip:
         ([["1.0", "nan"], ["oops", "3.0"]], "line 2: column 'model_b' is not finite ('nan')"),
         ([["1.0", "2.0"], ["x1", "-inf"]], "line 3: column 'model_a' is not numeric ('x1')"),
         ([["1.0", " 2,5 "], ["nan", "3.0"]], "line 2: column 'model_b' is not numeric ('2,5')"),
+        ([["1_0", "2.0"], ["3.0", "0x10"]], "line 3: column 'model_b' is not numeric ('0x10')"),
+        ([["1_0", " 1e309 "], ["x", "3.0"]], "line 2: column 'model_b' is not finite ('1e309')"),
     ])
     def test_first_bad_cell_in_row_order_is_reported(self, tmp_path, rows, message):
         path = tmp_path / "bad.csv"
@@ -100,6 +102,65 @@ class TestPanelCsvRoundTrip:
         _write_csv(path, ["model_a", "model_b"], [[1.0, 2.0]])
         with pytest.raises(DataError):
             read_loss_panel_csv(path)
+
+
+# Cells that float() reads and a narrower parser might not: an underscore
+# digit group, padding (ASCII and Unicode spaces), Unicode digits, a signed
+# zero and a 17-digit value.
+FLOAT_CELLS = ["1_0", " 2.5 ", "\u00a01.5\u2003", "\u0661\u0662", "-0.0",
+               "0.10000000000000001"]
+
+
+def _same_bits(got, cells):
+    want = np.array([float(c) for c in cells])
+    return got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+class TestCellConversion:
+    def test_panel_cells_read_as_float_reads_them(self, tmp_path):
+        path = tmp_path / "cells.csv"
+        rows = [[cell, str(k)] for k, cell in enumerate(FLOAT_CELLS)]
+        _write_csv(path, ["model_a", "model_b"], rows)
+        panel = read_loss_panel_csv(path)
+        assert _same_bits(panel.losses[:, 0], FLOAT_CELLS)
+        assert panel.losses.flags["C_CONTIGUOUS"]
+
+    def test_xy_cells_read_as_float_reads_them(self, tmp_path):
+        path = tmp_path / "cells.csv"
+        rows = [[str(k), cell, cell] for k, cell in enumerate(FLOAT_CELLS)]
+        _write_csv(path, ["x1", "y", "x2"], rows)
+        x, y, names = read_xy_csv(path, "y")
+        assert names == ["x1", "x2"]
+        assert _same_bits(y, FLOAT_CELLS)
+        assert _same_bits(x[:, 1], FLOAT_CELLS)
+        assert x.flags["C_CONTIGUOUS"]
+
+    @pytest.mark.parametrize("rows, message", [
+        ([["1_0", "2.0", "3"], ["4", "0x10", "nan"]], "line 3: column 'y' is not finite ('nan')"),
+        ([["1_0", "2.0", "3"], ["4", "0x10", "5"]], "line 3: column 'x1' is not numeric ('0x10')"),
+        ([["1", "2", " infinity "], ["x", "y", "z"]], "line 2: column 'y' is not finite ('infinity')"),
+    ])
+    def test_xy_first_bad_cell_is_reported(self, tmp_path, rows, message):
+        path = tmp_path / "bad.csv"
+        _write_csv(path, ["z", "x1", "y"], rows)
+        with pytest.raises(DataError) as info:
+            read_xy_csv(path, "y")
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("n_rows, need", [(0, 4), (3, 4)])
+    def test_short_panel_names_its_row_count(self, tmp_path, n_rows, need):
+        path = tmp_path / "short.csv"
+        _write_csv(path, ["model_a", "model_b"], [["1_0", " 2 "]] * n_rows)
+        with pytest.raises(DataError) as info:
+            read_loss_panel_csv(path)
+        assert str(info.value) == f"{path} has {n_rows} data row(s); need at least {need}"
+
+    def test_header_only_xy_names_its_row_count(self, tmp_path):
+        path = tmp_path / "header.csv"
+        _write_csv(path, ["x1", "y"], [])
+        with pytest.raises(DataError) as info:
+            read_xy_csv(path, "y")
+        assert str(info.value) == f"{path} has 0 data row(s); need at least 2"
 
 
 class TestReadXy:
@@ -326,6 +387,14 @@ class TestCliPanel:
                    "--out", str(tmp_path / "o")])
         assert rc == 3
         assert f"{path} has 3 data row(s); need at least 4" in capsys.readouterr().err
+
+    def test_header_only_exit_3_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "header.csv"
+        _write_csv(path, ["model_a", "model_b"], [])
+        rc = main(["panel", "--losses", str(path), "--seed", "1",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert f"{path} has 0 data row(s); need at least 4" in capsys.readouterr().err
 
     @pytest.mark.parametrize("header, column, name", [
         (["a", "", "c"], 2, "''"), (["model_a", "model_"], 2, "'model_'")])

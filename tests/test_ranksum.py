@@ -399,11 +399,56 @@ class TestTieStreamLaziness:
         rng = np.random.default_rng(51)
         losses = rng.permutation(200 * 4).astype(float).reshape(200, 4)
         panel = LossPanel(losses=losses, model_ids=("a", "b", "c", "d"))
+        assert panel._ranks[1] == losses.size      # d = nM: the tie-free shortcut
         ties = _CountingTieStreams(3)
-        for m in range(panel.n_models):
-            pair_stats(panel, m, ties=ties)
+        with mock.patch.object(ranksum, "_add_tie_wins", side_effect=AssertionError):
+            for m in range(panel.n_models):
+                pair_stats(panel, m, ties=ties)
         assert ties.pairs == []
         assert ties.coins == 0
+
+    def test_one_shared_value_draws_coins_for_its_pair_only(self):
+        # d = nM - 1: the panel is off the tie-free shortcut, and only the
+        # two columns that share the value are a tied pair, one cell each way.
+        rng = np.random.default_rng(59)
+        n = 50
+        losses = rng.permutation(n * 4).astype(float).reshape(n, 4)
+        losses[17, 2] = losses[31, 0]
+        panel = LossPanel(losses=losses, model_ids=("a", "b", "c", "d"))
+        assert panel._ranks[1] == losses.size - 1
+        ties = _CountingTieStreams(7, 9)
+        for m in range(panel.n_models):
+            stats = pair_stats(panel, m, ties=ties)
+            u, se, psi = _oracle_pair_stats(panel, m, TieStreams(7, 9))
+            assert np.array_equal(stats.u, u)
+            assert np.array_equal(stats.se, se)
+            assert np.array_equal(stats.psi, psi)
+        assert ties.pairs == [("a", "c"), ("c", "a")]
+        assert ties.coins == 2
+
+    def test_repeats_within_a_column_are_not_ties(self):
+        # Column a repeats its smallest, its largest and an inner value; no
+        # value is shared across columns. The rank table equals the
+        # bincount/cumsum table it replaced, and no coin is drawn.
+        rng = np.random.default_rng(61)
+        n = 30
+        losses = rng.permutation(n * 3).astype(float).reshape(n, 3)
+        a = np.sort(losses[:, 0])
+        losses[:, 0] = np.concatenate([a[:1], a[:1], a[2:-3], a[-4:-3], a[-1:], a[-1:]])
+        panel = LossPanel(losses=losses, model_ids=("a", "b", "c"))
+        ranks, d = panel._ranks
+        assert d == losses.size - 3
+        ties = _CountingTieStreams(7, 9)
+        for m in range(panel.n_models):
+            competitors, _, col, _ = ranksum._reference_counts(panel, m)
+            below = np.cumsum(np.bincount(ranks[m] + 1, minlength=d + 1))
+            assert np.array_equal(col, below[ranks[competitors]])
+            stats = pair_stats(panel, m, ties=ties)
+            u, se, psi = _oracle_pair_stats(panel, m, TieStreams(7, 9))
+            assert np.array_equal(stats.u, u)
+            assert np.array_equal(stats.se, se)
+            assert np.array_equal(stats.psi, psi)
+        assert ties.pairs == []
 
     @pytest.mark.parametrize("chunk", COIN_CHUNKS)
     def test_one_stream_per_tied_pair_and_one_coin_per_tied_cell(self, chunk):

@@ -10,10 +10,18 @@ record unchanged in the order given, and adds a summary per workload and
 trace mode: for each metric, the run count, median and quartiles over the
 runs. Two such files, one per commit, show a speed-up without re-running
 anything. Span dumps (``*-spans.jsonl.gz``) are left out.
+
+The run records name the HEAD commit only, so the output also says which
+code ran: ``source`` is the SHA-256 of ``src/ranksel/*.py`` at export
+time (each file's name, then its bytes, in name order), and ``src_dirty``
+is whether ``git status`` lists changes under ``src`` (null without git or
+outside a repository). Export from the checkout that ran the records.
 """
 
+import hashlib
 import json
 import statistics
+import subprocess
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -40,6 +48,25 @@ def summarize(records) -> dict:
     return summary
 
 
+def source_digest(root: Path) -> str:
+    """SHA-256 of root/src/ranksel/*.py: each name, a NUL, then its bytes."""
+    digest = hashlib.sha256()
+    for path in sorted((root / "src" / "ranksel").glob("*.py")):
+        digest.update(path.name.encode() + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def src_dirty(root: Path) -> bool | None:
+    """Whether git lists changes under root/src; None without git or a repository."""
+    try:
+        status = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=root,
+                                capture_output=True, text=True, check=False)
+    except OSError:
+        return None
+    return bool(status.stdout.strip()) if status.returncode == 0 else None
+
+
 def main(argv) -> int:
     if len(argv) < 2:
         print("usage: python tools/bench_export.py LABEL RESULT.json [RESULT.json ...]",
@@ -48,7 +75,8 @@ def main(argv) -> int:
     label, paths = argv[0], argv[1:]
     records = [json.loads(Path(p).read_text(encoding="utf-8")) for p in paths]
     out = ROOT / f"BENCH_{label}.json"
-    out.write_text(json.dumps({"label": label, "summary": summarize(records),
+    out.write_text(json.dumps({"label": label, "source": source_digest(ROOT),
+                               "src_dirty": src_dirty(ROOT), "summary": summarize(records),
                                "runs": records}, indent=1) + "\n", encoding="utf-8")
     print(out)
     return 0
