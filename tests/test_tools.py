@@ -110,7 +110,8 @@ def test_src_dirty_follows_git_status(tmp_path, monkeypatch, capsys):
     _fake_source(tmp_path, select="B = 1\n")
     records = [_record("case1", 0, jobs_per_ref_s=20.0)]
     assert _export(tmp_path, records)["src_dirty"] is None     # not a repository
-    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com"]
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
+           "-c", "commit.gpgsign=false"]
     for args in (["init", "-q"], ["add", "src"], ["commit", "-q", "-m", "src"]):
         subprocess.run(git + args, cwd=tmp_path, check=True, capture_output=True)
     assert _export(tmp_path, records)["src_dirty"] is False
