@@ -428,8 +428,8 @@ class TestTieStreamLaziness:
 
     def test_repeats_within_a_column_are_not_ties(self):
         # Column a repeats its smallest, its largest and an inner value; no
-        # value is shared across columns. The rank table equals the
-        # bincount/cumsum table it replaced, and no coin is drawn.
+        # value is shared across columns. The counts equal a bincount/cumsum
+        # table gathered at the competitors' ranks, and no coin is drawn.
         rng = np.random.default_rng(61)
         n = 30
         losses = rng.permutation(n * 3).astype(float).reshape(n, 3)
