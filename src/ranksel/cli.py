@@ -5,9 +5,10 @@
     ranksel panel    --losses panel.csv --alpha 0.1 --B 500 --seed 1 --out results/
     ranksel simulate case1|case2 --config run.cfg --out results/ [--set key=value]
 
-Exit codes: 0 success, 2 usage/config error, 3 data error, 4 a learner or
-numerical failure (LearnerError, LinAlgError, FloatingPointError) or running
-out of memory. Seeds are mandatory; there is no entropy default.
+Exit codes: 0 success, 2 usage/config error or an unwritable --out, 3 data
+error, 4 a learner or numerical failure (LearnerError, LinAlgError,
+FloatingPointError) or running out of memory. Seeds are mandatory; there is
+no entropy default.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .errors import ConfigError, ContractError, DataError, LearnerError
 from .io import (ReportBundle, RunConfig, parse_config_file, read_loss_panel_csv,
                  read_xy_csv, write_plot_data, write_pvalues_csv,
                  write_replicates_csv)
-from .models import (Dataset, LossFn, adaptive_tau, fit_huber_adaptive,
-                     fit_huber_lasso, fit_ols, lambda_path, robust_scale)
+from .models import (Dataset, adaptive_tau, fit_huber_adaptive, fit_huber_lasso,
+                     fit_ols, lambda_path, robust_scale)
 from .select import Candidate, SelectionConfig, rsr_from_candidates, rsr_from_panel
 from .simlab import Case1Config, Case2Config, run_case1, run_case2
 
@@ -84,10 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sel.add_argument("--response", required=True, help="response column name")
     p_sel.add_argument("--learners", required=True,
                        help="comma-separated learner names")
-    p_sel.add_argument("--loss", choices=("huber", "absolute", "squared"),
-                       default="huber")
-    p_sel.add_argument("--tau", type=float, default=None,
-                       help="Huber knee; default adapts to the response scale")
     p_sel.add_argument("--folds", type=int, default=5,
                        help="V-fold count; 0 = plain sample splitting")
     _selection_options(p_sel)
@@ -122,7 +119,7 @@ def _selection_config(args) -> SelectionConfig:
 
 def _settings_echo(config: SelectionConfig) -> dict:
     """The selection settings that report.json echoes, read back from the
-    validated config; `select` adds its fold count and loss."""
+    validated config; `select` adds its fold count."""
     return {"alpha": config.alpha, "alpha_screen": config.alpha_screen,
             "s": config.s, "B": config.B,
             "screening": config.screening_enabled}
@@ -135,30 +132,15 @@ def _write_selection_outputs(run_cfg: RunConfig, confidence_set, out_dir):
     write_pvalues_csv(Path(out_dir) / "pvalues.csv", confidence_set)
 
 
-def _loss_fn(args) -> LossFn | None:
-    """The loss from the flags, or None when the Huber knee adapts to the
-    data; a rejected value is a usage error."""
-    if args.loss == "huber" and args.tau is None:
-        return None
-    try:
-        return LossFn(args.loss, tau=args.tau)
-    except ContractError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def cmd_select(args) -> int:
     start = time.perf_counter()
     config = _selection_config(args)
-    loss = _loss_fn(args)
     names = tuple(n.strip() for n in args.learners.split(",") if n.strip())
     candidates = _candidates_from_names(names)
     x, y, _features = read_xy_csv(args.data, args.response)
     data = Dataset(x=x, y=y)
-    if loss is None:
-        loss = LossFn("huber", tau=adaptive_tau(data.n, data.d, robust_scale(y)))
-    cs = rsr_from_candidates(candidates, data, config, loss)
-    params = {**_settings_echo(config), "folds": args.folds, "loss": loss.kind,
-              "tau": float(loss.tau) if loss.tau else 0.0}
+    cs = rsr_from_candidates(candidates, data, config)
+    params = {**_settings_echo(config), "folds": args.folds}
     run_cfg = RunConfig(command="select", seed=config.seed, data_path=args.data,
                         response=args.response, learners=names, params=params)
     _write_selection_outputs(run_cfg, cs, args.out)
@@ -229,16 +211,14 @@ def cmd_simulate(args) -> int:
         key, value = item.split("=", 1)
         entries[key.strip()] = value.strip()
     config = _case_config(args.case, entries)
-    if args.case == "case2":
-        if (config.n, config.p) not in CASE2_SUPPORTED_DIMS:
-            dims = ", ".join(f"({n}, {p})" for n, p in CASE2_SUPPORTED_DIMS)
-            raise ConfigError(
-                f"unsupported (n, p) = ({config.n}, {config.p}); supported: {dims}")
-        report = run_case2(config)
-    else:
-        report = run_case1(config)
+    if args.case == "case2" and (config.n, config.p) not in CASE2_SUPPORTED_DIMS:
+        dims = ", ".join(f"({n}, {p})" for n, p in CASE2_SUPPORTED_DIMS)
+        raise ConfigError(
+            f"unsupported (n, p) = ({config.n}, {config.p}); supported: {dims}")
+    # Made before the study runs, so an unwritable --out fails at once.
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    report = run_case2(config) if args.case == "case2" else run_case1(config)
     (out / "aggregate.json").write_text(report.to_json(), encoding="utf-8")
     write_replicates_csv(out / "replicates.csv", report.replicates)
     write_plot_data(out, report)
@@ -264,6 +244,10 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"ranksel: out of memory: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:
+        # Reads raise DataError or ConfigError, so an OSError is a write.
+        print(f"ranksel: cannot write output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

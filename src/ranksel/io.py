@@ -124,6 +124,11 @@ def read_loss_panel_csv(path) -> LossPanel:
 def read_xy_csv(path, response: str):
     """(x, y, feature_names) from a CSV with a named response column."""
     header, rows = _read_csv_rows(path)
+    first: dict[str, int] = {}
+    for col, name in enumerate(header, start=1):
+        if first.setdefault(name, col) != col:
+            raise DataError(f"{path}: columns {first[name]} and {col} are both "
+                            f"named {name!r}")
     if response not in header:
         raise ConfigError(
             f"response column {response!r} not found in {path} "

@@ -26,7 +26,7 @@ therefore reorders the results and changes nothing else:
 keeps {m : p_m >= alpha}. ``rsr_from_candidates`` wraps training: it
 splits the data (V = 0: one sample split, evaluated on the second fold of
 a 2-fold plan; V >= 2: V folds), ``panel_from_folds`` fits and scores each
-candidate fold by fold into the out-of-sample loss panel, and
+candidate fold by fold into the out-of-sample |residual| panel, and
 ``rsr_from_panel`` reads it. A candidate whose learner fails is flagged
 and assigned p-value 0; candidate ids must be distinct.
 """
@@ -386,12 +386,12 @@ def survivor_panel(losses: np.ndarray, folds, ids, failed):
     return panel, sorted(failed)
 
 
-def rsr_from_candidates(candidates, data: Dataset, config: SelectionConfig,
-                        loss: LossFn) -> ConfidenceSet:
-    """RSR on the candidates' out-of-sample loss panel, mapped back onto
-    every candidate. ``config.V == 0`` trains on half and scores the other
-    half (method "rsr_split"); otherwise each point is scored by the model
-    trained without its fold (method "rsr_vfold")."""
+def rsr_from_candidates(candidates, data: Dataset,
+                        config: SelectionConfig) -> ConfidenceSet:
+    """RSR on the candidates' out-of-sample |residual| panel, mapped back
+    onto every candidate. ``config.V == 0`` trains on half and scores the
+    other half (method "rsr_split"); otherwise each point is scored by the
+    model trained without its fold (method "rsr_vfold")."""
     if len(candidates) < 2:
         raise ContractError("need at least two candidates")
     if config.V == 0:
@@ -400,7 +400,10 @@ def rsr_from_candidates(candidates, data: Dataset, config: SelectionConfig,
         folds, method = make_folds(data.n, 2, config.seed)[1:], "rsr_split"
     else:
         folds, method = make_folds(data.n, config.V, config.seed), "rsr_vfold"
-    panel, failed = panel_from_folds(candidates, data, folds, loss)
+    # RSR reads only ranks, so every loss increasing in |residual| gives this
+    # set. abs is exact: a cell ties only where two |residual| are equal,
+    # while a squared or Huber loss can round distinct ones into extra ties.
+    panel, failed = panel_from_folds(candidates, data, folds, LossFn("absolute"))
     all_ids = tuple(c.model_id for c in candidates)
     p_vals = np.zeros(len(all_ids))
     screened_out: dict[int, tuple[int, ...]] = {}

@@ -16,7 +16,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from ranksel import (BootstrapConfig, Candidate, Case1Config, Case2Config,
-                     Dataset, LossFn, LossPanel, SelectionConfig, TieStreams,
+                     Dataset, LossPanel, SelectionConfig, TieStreams,
                      fit_ols, keyed_stream, multiplier_min_bootstrap, pair_stats,
                      ranksum_u, rsr_from_candidates, run_case1, run_case2,
                      se_ranksum)
@@ -98,7 +98,7 @@ def _crit2_replicate(rep):
     data = Dataset(x=x, y=y)
     cands = [Candidate(f"c{j}", fit_ols) for j in range(_CRIT2_MODELS)]
     cfg = SelectionConfig(seed=rep, alpha=0.1, B=500, V=0)
-    cs = rsr_from_candidates(cands, data, cfg, LossFn("absolute"))
+    cs = rsr_from_candidates(cands, data, cfg)
     return [float(p) for p in cs.p_values]
 
 

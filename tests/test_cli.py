@@ -244,13 +244,28 @@ class TestCliSelect:
     def test_flags_echoed_in_params(self, data_csv, tmp_path):
         out = tmp_path / "out"
         rc = main(["select", "--data", str(data_csv), "--response", "y",
-                   "--learners", "ols,huber", "--folds", "0", "--loss", "absolute",
+                   "--learners", "ols,huber", "--folds", "0",
                    *NON_DEFAULT_FLAGS, "--seed", "4", "--out", str(out)])
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
         assert report["config"]["params"] == {
             "alpha": 0.1, "alpha_screen": 0.3, "s": 0.5, "B": 200, "folds": 0,
-            "screening": False, "loss": "absolute", "tau": 0.0}
+            "screening": False}
+
+    def test_repeated_column_name_exit_3(self, tmp_path, capsys):
+        # A second `y` would otherwise become a feature equal to the response.
+        rng = np.random.default_rng(4)
+        x, y = rng.standard_normal(30), rng.standard_normal(30)
+        path = tmp_path / "dup.csv"
+        _write_csv(path, ["x1", "y", "y"], np.column_stack([x, y, y]).tolist())
+        with pytest.raises(DataError, match="columns 2 and 3"):
+            read_xy_csv(path, "y")
+        out = tmp_path / "out"
+        rc = main(["select", "--data", str(path), "--response", "y",
+                   "--learners", "ols,huber", "--seed", "1", "--out", str(out)])
+        assert rc == 3
+        assert "columns 2 and 3 are both named 'y'" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_missing_response_exit_2(self, data_csv, tmp_path, capsys):
         rc = main(["select", "--data", str(data_csv), "--response", "zz",
@@ -459,13 +474,10 @@ INVALID_SELECTION_FLAGS = [
     for command in ("select", "panel")
     for flags in (["--alpha", "1.5"], ["--alpha-screen", "0"], ["--s=-1"],
                   ["--s=nan"], ["--s=inf"], ["--B", "50"], ["--folds", "1"],
-                  ["--tau=-1"], ["--tau=0"], ["--tau=inf"], ["--tau=nan"],
-                  # only the Huber loss has a knee, so a tau with another is refused
-                  ["--loss=absolute", "--tau", "2.5"], ["--loss", "absolute", "--tau=-1"],
                   # seeds are used modulo 2**64: -1 would write 2**64 - 1's bytes
                   ["--seed=-1"], ["--seed=18446744073709551616"])
-    # panel has neither folds nor a loss to tune
-    if not (command == "panel" and flags[0].startswith(("--folds", "--tau", "--loss")))
+    # panel has no folds
+    if not (command == "panel" and flags[0] == "--folds")
 ]
 
 
@@ -481,13 +493,38 @@ def test_invalid_selection_flag_exit_2(command, flags, data_csv, panel_csv, tmp_
     assert not (out / "report.json").exists()
 
 
-@pytest.mark.parametrize("command,mode", [("panel", "row_only"), ("select", "symmetrized")])
-def test_projection_flag_is_refused(command, mode, data_csv, panel_csv, tmp_path):
-    # RSR bootstraps one score, the full two-part projection; no flag picks another.
+# RSR bootstraps one score, the full two-part projection, and `select` ranks
+# |residual|: RSR reads only ranks, so no other loss could move a p-value.
+REFUSED_FLAGS = [("panel", "--projection", "row_only"),
+                 ("select", "--projection", "symmetrized"),
+                 ("select", "--loss", "absolute"), ("select", "--tau", "1.0")]
+
+
+@pytest.mark.parametrize("command,flag,value", REFUSED_FLAGS,
+                         ids=[f"{c}{f}={v}" for c, f, v in REFUSED_FLAGS])
+def test_refused_flags_exit_2(command, flag, value, data_csv, panel_csv, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(_selection_argv(command, data_csv, panel_csv)
-             + ["--projection", mode, "--seed", "1", "--out", str(tmp_path / "out")])
+             + [flag, value, "--seed", "1", "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ("panel", "simulate"))
+def test_unwritable_out_exit_2(command, panel_csv, tmp_path, capsys):
+    # --out names an existing file, so no directory can be made there.
+    out = tmp_path / "afile"
+    out.write_text("taken\n")
+    if command == "panel":
+        argv = ["panel", "--losses", str(panel_csv[0]), "--seed", "1"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 40\nx_df = 3\nreps = 1\nseed = 9\n")
+        argv = ["simulate", "case1", "--config", str(cfg)]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ranksel: cannot write output: ")
+    assert "Traceback" not in err
+    assert out.read_text() == "taken\n"
 
 
 class TestCliSimulate:

@@ -687,11 +687,10 @@ class TestRsrSplitAndVfold:
         rng = np.random.default_rng(13)
         kept = np.zeros(2)
         reps = 100
-        loss = LossFn("absolute")
         for rep in range(reps):
             data = self._null_data(rng, 80)
             cs = rsr_from_candidates(_ols_candidates(2), data,
-                                     SelectionConfig(seed=rep, alpha=0.1, V=0), loss)
+                                     SelectionConfig(seed=rep, alpha=0.1, V=0))
             for m in cs.selected:
                 kept[m] += 1
         assert np.all(kept / reps >= 1 - 0.1 - 0.05)
@@ -700,11 +699,10 @@ class TestRsrSplitAndVfold:
         rng = np.random.default_rng(14)
         kept = np.zeros(2)
         reps = 60
-        loss = LossFn("absolute")
         for rep in range(reps):
             data = self._null_data(rng, 60)
             cs = rsr_from_candidates(_ols_candidates(2), data,
-                                     SelectionConfig(seed=rep, alpha=0.1, V=3), loss)
+                                     SelectionConfig(seed=rep, alpha=0.1, V=3))
             for m in cs.selected:
                 kept[m] += 1
         assert np.all(kept / reps >= 1 - 0.1 - 0.05)
@@ -731,7 +729,7 @@ class TestRsrSplitAndVfold:
             y = 3.0 * x[:, 0] + 0.3 * rng.standard_normal(n)
             cands = [Candidate("line", fit_ols), Candidate("flat", fit_flat)]
             cs = rsr_from_candidates(cands, Dataset(x=x, y=y),
-                                     SelectionConfig(seed=rep, V=0), LossFn("absolute"))
+                                     SelectionConfig(seed=rep, V=0))
             rejected += cs.p_values[1] < 0.1
         assert rejected >= 0.95 * reps
 
@@ -759,8 +757,7 @@ class TestRsrSplitAndVfold:
         x = rng.standard_normal((n, 1))
         y = x[:, 0] + 0.1 * rng.standard_normal(n)
         cands = _ols_candidates(2) + [Candidate("broken", fit_bad)]
-        cs = rsr_from_candidates(cands, Dataset(x=x, y=y), SelectionConfig(seed=2, V=0),
-                                 LossFn("absolute"))
+        cs = rsr_from_candidates(cands, Dataset(x=x, y=y), SelectionConfig(seed=2, V=0))
         assert cs.p_values[2] == 0.0
         assert 2 in cs.failed
         assert 2 not in cs.selected
@@ -774,8 +771,7 @@ class TestRsrSplitAndVfold:
         x = rng.standard_normal((n, 1))
         y = x[:, 0] + 0.1 * rng.standard_normal(n)
         cands = [_ols_candidates(1)[0], Candidate("broken", fit_bad)]
-        cs = rsr_from_candidates(cands, Dataset(x=x, y=y), SelectionConfig(seed=3, V=0),
-                                 LossFn("absolute"))
+        cs = rsr_from_candidates(cands, Dataset(x=x, y=y), SelectionConfig(seed=3, V=0))
         assert cs.p_values[0] == 1.0
         assert cs.p_values[1] == 0.0
         assert cs.selected == (0,)
@@ -786,12 +782,11 @@ class TestRsrSplitAndVfold:
         x = rng.standard_normal((n, 1))
         data = Dataset(x=x, y=x[:, 0] + rng.standard_normal(n))
         for v, method in ((0, "rsr_split"), (2, "rsr_vfold"), (4, "rsr_vfold")):
-            cs = rsr_from_candidates(_ols_candidates(2), data,
-                                     SelectionConfig(seed=1, V=v), LossFn("absolute"))
+            cs = rsr_from_candidates(_ols_candidates(2), data, SelectionConfig(seed=1, V=v))
             assert cs.method == method
         with pytest.raises(ContractError, match="at least 8"):
             rsr_from_candidates(_ols_candidates(2), Dataset(x=x[:7], y=x[:7, 0]),
-                                SelectionConfig(seed=1, V=0), LossFn("absolute"))
+                                SelectionConfig(seed=1, V=0))
 
     @pytest.mark.parametrize("v", (0, 5))
     def test_repeated_candidate_id_rejected(self, v):
@@ -803,8 +798,7 @@ class TestRsrSplitAndVfold:
         with pytest.raises(ContractError, match="'c0' is repeated"):
             panel_from_folds(cands, data, make_folds(n, 5, seed=1), LossFn("absolute"))
         with pytest.raises(ContractError, match="'c0' is repeated"):
-            rsr_from_candidates(cands, data, SelectionConfig(seed=1, V=v),
-                                LossFn("absolute"))
+            rsr_from_candidates(cands, data, SelectionConfig(seed=1, V=v))
 
     def test_learner_failing_on_first_fold_is_trained_once(self):
         calls = []
@@ -850,7 +844,7 @@ class TestRsrSplitAndVfold:
         assert panel.model_ids == reference.model_ids
         np.testing.assert_array_equal(panel.losses, reference.losses)
         calls.clear()
-        cs = rsr_from_candidates(cands, data, SelectionConfig(seed=1, V=5), loss)
+        cs = rsr_from_candidates(cands, data, SelectionConfig(seed=1, V=5))
         assert cs.failed == (2,)
         assert cs.p_values[2] == 0.0
         assert 2 not in cs.selected

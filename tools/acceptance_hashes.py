@@ -10,8 +10,7 @@ mixed and a wide (n = 60, M = 120) loss panel (default and ``--no-screening``)
 and of ``select`` at ``--folds 0`` and ``--folds 5``, both on a full-rank
 design (``select_folds*``) and on one whose two feature columns are equal, so
 ``ols`` and ``huber`` fail and ``huber_lasso`` is the lone survivor
-(``select_failed*``), and with ``--loss absolute`` on the full-rank design
-(``select_abs*``), plus ``aggregate.json``,
+(``select_failed*``), plus ``aggregate.json``,
 ``replicates.csv``, ``setsize_vs_n.dat`` and ``rates.dat`` of ``simulate
 case1`` at n = 40 with 3 replicates and of ``simulate case2`` at (200, 200)
 with 1 replicate (the Huber-lasso path solver; about ten seconds). The runs
@@ -136,12 +135,6 @@ def _cli_runs():
             yield name, ["select", "--data", data, "--response", "y",
                          "--learners", "ols,huber,huber_lasso", "--folds", str(folds),
                          "--seed", "7", "--out", name], ("report.json", "pvalues.csv")
-    for folds in (0, 5):
-        name = f"select_abs{folds}"
-        yield name, ["select", "--data", "xy.csv", "--response", "y",
-                     "--learners", "ols,huber,huber_lasso", "--loss", "absolute",
-                     "--folds", str(folds), "--seed", "7", "--out", name], (
-            "report.json", "pvalues.csv")
     for name, case in (("case1_cli_n40", "case1"), ("case2_cli_200x200", "case2")):
         yield name, ["simulate", case, "--config", f"{case}.cfg", "--out", name], (
             "aggregate.json", "replicates.csv", "setsize_vs_n.dat", "rates.dat")
