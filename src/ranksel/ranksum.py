@@ -20,11 +20,12 @@ competitors' ranks, and one per-competitor ``bincount`` + ``cumsum``. When
 d = nM no loss occurs twice, so no pair has a tied cell and the tie gather
 and scan are skipped. Its working memory is O(d + nM), with no search and
 no loop over pairs without ties. Tie coins cost O(tied cells) and are only
-drawn, from a stream created on demand, for pairs that have a tied cell;
-they are drawn in chunks of whole rows, so the working memory of a
-tie-heavy pair is bounded by the chunk size, not by its tied-cell count. A
-brute-force O(n^2) evaluation with the same tie stream produces
-bit-identical results (the tests rely on this).
+drawn, from a stream created on demand, for pairs that have a tied cell.
+One double gives 48 coins, so a tied row of width w draws ceil(w / 48)
+doubles; they are drawn in chunks of whole rows, so the working memory of
+a tie-heavy pair is bounded by the chunk size, not by its tied-cell count.
+A brute-force O(n^2) evaluation that unpacks the same tie stream the same
+way produces bit-identical results (the tests rely on this).
 """
 
 from __future__ import annotations
@@ -45,9 +46,13 @@ VARIANCE_FLOOR = 1e-6
 # Tolerance on projection-score column means, relative to n.
 PSI_CENTERING_TOL = 1e-12
 
-# Most tie coins drawn by one ``random`` call: whole tied rows are drawn
-# together up to this many coins (a single wider row is drawn on its own).
-# Bounds the per-chunk buffers on tie-heavy panels such as 0/1 losses.
+# Tie coins unpacked from one double: the low 48 of the 53 bits it carries.
+_COIN_BITS = 48
+
+# Most coin bits (48 per double) materialized by one ``random`` call: whole
+# tied rows are drawn together up to this many bits (a single wider row is
+# drawn on its own). Bounds the per-chunk buffers on tie-heavy panels such
+# as 0/1 losses, and on panels of many one-cell ties.
 _COIN_CHUNK = 1 << 16
 
 
@@ -184,34 +189,45 @@ def _add_tie_wins(row, col_sorted, lo, hi, gen: np.random.Generator) -> None:
     """Settle every tied cell with one fair coin, in lexicographic (k, l) order.
 
     Row k ties with the sorted-b positions lo[k]:hi[k], which the stable
-    order lists by ascending l, so drawing the tied rows' coins back to
-    back in ascending k reproduces the (k, l) stream of a double loop.
-    Coins come in chunks of whole rows of at most ``_COIN_CHUNK`` coins.
-    Row wins are added to ``row`` (index order), column wins to
-    ``col_sorted`` (sorted-b order).
+    order lists by ascending l. A tied row of width w draws ceil(w / 48)
+    doubles x; each gives the 48 coins bits 0-47 of the exact integer
+    x * 2**53 (bits 11-63 of the Philox word), least significant first,
+    and a coin of 1 is a win for a. The row's coins are the first w of
+    its bits, so drawing the tied rows back to back in ascending k gives
+    each cell the same coin whatever the chunking. Doubles come in chunks
+    of whole rows of at most ``_COIN_CHUNK`` bits. Row wins are added to
+    ``row`` (index order), column wins to ``col_sorted`` (sorted-b order).
     """
     width = hi - lo
     rows = np.flatnonzero(width)
     width = width[rows]
-    ends = np.cumsum(width)
+    span = -(-width // _COIN_BITS) * _COIN_BITS      # bits a row's doubles hold
+    ends = np.cumsum(span)
     start = 0
     while start < rows.size:
-        base = ends[start] - width[start]
+        base = ends[start] - span[start]
         stop = max(start + 1, int(np.searchsorted(ends, base + _COIN_CHUNK, side="right")))
-        offsets = ends[start:stop] - width[start:stop] - base
-        wins = (gen.random(int(ends[stop - 1] - base)) < 0.5).view(np.uint8)
+        offsets = ends[start:stop] - span[start:stop] - base
+        words = (gen.random(int(ends[stop - 1] - base) // _COIN_BITS) * 2.0**53).astype("<u8")
+        # Little-endian bytes 0-5 hold bits 0-47 whatever the host's order.
+        bits = np.unpackbits(words.view(np.uint8).reshape(-1, 8)[:, :6].copy(),
+                             bitorder="little")
         chunk = rows[start:stop]
-        row[chunk] += np.add.reduceat(wins, offsets, dtype=np.intp)
         # Rows tied with the same value share one b-slice, so each value's
-        # coins form a (rows x slice) block, gathered as rows of a sliding
-        # window over the chunk, that sums down to the column wins.
+        # coins form a (rows x w) block, gathered as rows of a sliding
+        # window over the chunk's bits; it sums across to the row wins and
+        # down to the column wins, never touching a row's padding bits.
         first = lo[chunk]
         by_value = np.argsort(first, kind="stable")
         cuts = np.flatnonzero(np.diff(first[by_value])) + 1
         for group in np.split(by_value, cuts):
             pos, w = first[group[0]], width[start + group[0]]
-            windows = as_strided(wins, (wins.size - w + 1, w), (1, 1), writeable=False)
-            col_sorted[pos:pos + w] += windows[offsets[group]].sum(axis=0, dtype=np.intp)
+            windows = as_strided(bits, (bits.size - w + 1, w), (1, 1), writeable=False)
+            block = windows[offsets[group]]
+            # Sums are at most max(w, rows): the narrowest exact type is fastest.
+            total = np.min_scalar_type(max(w, group.size))
+            row[chunk[group]] += block.sum(axis=1, dtype=total)
+            col_sorted[pos:pos + w] += block.sum(axis=0, dtype=total)
         start = stop
 
 

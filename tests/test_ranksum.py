@@ -12,23 +12,43 @@ from ranksel import (ContractError, DataError, LossPanel, TieStreams, keyed_stre
                      pair_stats, ranksum, ranksum_u, se_ranksum)
 
 
+def row_coins(rng, width):
+    """The tie coins of one tied row of ``width`` cells, in ascending l.
+
+    The row draws ceil(width / 48) doubles in one call; each double x is
+    the integer x * 2**53, whose 48 low bits are 48 coins, least
+    significant first. The row keeps the first ``width``; 1 is a win for a.
+    """
+    coins = []
+    for x in rng.random(-(-width // 48)):
+        word = int(x * 2**53)
+        coins += [(word >> i) & 1 for i in range(48)]
+    return coins[:width]
+
+
+def _row_coin_iters(a, b, rng):
+    """One iterator of coins per row k of a, drawn in ascending k."""
+    return [iter(row_coins(rng, sum(ak == bl for bl in b))) for ak in a]
+
+
 def brute_ranksum(a, b, rng=None):
-    """O(n^2) oracle; consumes one tie coin per tied pair in (k, l) order."""
+    """O(n^2) oracle; each tied cell takes its row's next coin in (k, l) order."""
     n = len(a)
+    coins = _row_coin_iters(a, b, rng) if rng is not None else None
     wins = 0.0
     for k in range(n):
         for l in range(n):
             if a[k] < b[l]:
                 wins += 1.0
             elif a[k] == b[l]:
-                if rng.random() < 0.5:
-                    wins += 1.0
+                wins += next(coins[k])
     return wins / (n * n)
 
 
 def brute_pair_sums(a, b, rng):
     """Row and column sums of xi = 1{a_k < b_l} - 0.5 per the double loop."""
     n = len(a)
+    coins = _row_coin_iters(a, b, rng)
     row = np.zeros(n)
     col = np.zeros(n)
     for k in range(n):
@@ -38,7 +58,7 @@ def brute_pair_sums(a, b, rng):
             elif a[k] > b[l]:
                 x = -0.5
             else:
-                x = 0.5 if rng.random() < 0.5 else -0.5
+                x = 0.5 if next(coins[k]) else -0.5
             row[k] += x
             col[l] += x
     return row, col
@@ -234,9 +254,10 @@ class TestLossPanel:
 
 
 # ---------------------------------------------------------------------------
-# Differential oracle: the per-pair path the panel engine replaced, frozen
-# as it was. It re-sorts b for every pair, draws one ``random`` call per
-# tied row and rebuilds both empirical CDFs for the standard error.
+# Differential oracle: the per-pair path the panel engine replaced. It
+# re-sorts b for every pair, draws one ``random`` call per tied row (the
+# row's ceil(w / 48) doubles, unpacked by ``row_coins``) and rebuilds both
+# empirical CDFs for the standard error.
 
 def _oracle_win_counts(a, b, ties):
     n = a.size
@@ -248,7 +269,7 @@ def _oracle_win_counts(a, b, ties):
     col = np.searchsorted(np.sort(a), b, side="left").astype(float)
     for k in np.nonzero(hi > lo)[0]:
         tied_idx = order[lo[k]:hi[k]]
-        wins = ties.random(tied_idx.size) < 0.5
+        wins = np.array(row_coins(ties, tied_idx.size), dtype=bool)
         row[k] += wins.sum()
         np.add.at(col, tied_idx[wins], 1.0)
     return row, col
@@ -318,9 +339,10 @@ def mixed_panels(draw):
     return LossPanel(losses=losses, model_ids=tuple(f"c{j}" for j in range(losses.shape[1])))
 
 
-# None keeps the module's chunk; 1 and 7 make the coin draws cross chunk
-# boundaries on every tie-heavy pair.
-COIN_CHUNKS = [None, 1, 7]
+# None keeps the module's chunk of coin bits; 1 and 7 draw every tied row
+# on its own, and 200 (four doubles) draws a few rows per chunk, so chunk
+# boundaries fall between rows of one value.
+COIN_CHUNKS = [None, 1, 7, 200]
 
 
 def _coin_chunk(chunk):
@@ -377,17 +399,17 @@ class _CountingGenerator:
         self._owner = owner
 
     def random(self, size):
-        self._owner.coins += size
+        self._owner.doubles += size
         return self._gen.random(size)
 
 
 class _CountingTieStreams(TieStreams):
-    """Records every pair whose stream is requested and every coin drawn."""
+    """Records every pair whose stream is requested and every double drawn."""
 
     def __init__(self, seed, tag=0):
         super().__init__(seed, tag)
         self.pairs = []
-        self.coins = 0
+        self.doubles = 0
 
     def pair(self, id_m, id_j):
         self.pairs.append((id_m, id_j))
@@ -405,7 +427,7 @@ class TestTieStreamLaziness:
             for m in range(panel.n_models):
                 pair_stats(panel, m, ties=ties)
         assert ties.pairs == []
-        assert ties.coins == 0
+        assert ties.doubles == 0
 
     def test_one_shared_value_draws_coins_for_its_pair_only(self):
         # d = nM - 1: the panel is off the tie-free shortcut, and only the
@@ -424,7 +446,7 @@ class TestTieStreamLaziness:
             assert np.array_equal(stats.se, se)
             assert np.array_equal(stats.psi, psi)
         assert ties.pairs == [("a", "c"), ("c", "a")]
-        assert ties.coins == 2
+        assert ties.doubles == 2
 
     def test_repeats_within_a_column_are_not_ties(self):
         # Column a repeats its smallest, its largest and an inner value; no
@@ -458,18 +480,104 @@ class TestTieStreamLaziness:
                                   10.0 + rng.random(n)])   # ties with no column
         panel = LossPanel(losses=losses, model_ids=("a", "b", "c", "d"))
         ties = _CountingTieStreams(5)
-        expected_pairs, expected_coins = [], 0
+        expected_pairs, expected_doubles = [], 0
         with _coin_chunk(chunk):
             for m in range(panel.n_models):
                 pair_stats(panel, m, ties=ties)
                 for j in range(panel.n_models):
-                    tied = int((losses[:, m][:, None] == losses[:, j][None, :]).sum())
-                    if j != m and tied:
+                    # One coin per tied cell, 48 to a double, per tied row.
+                    width = (losses[:, m][:, None] == losses[:, j][None, :]).sum(axis=1)
+                    if j != m and width.any():
                         expected_pairs.append((panel.model_ids[m], panel.model_ids[j]))
-                        expected_coins += tied
+                        expected_doubles += int((-(-width // 48)).sum())
         assert ties.pairs == expected_pairs
         assert len(expected_pairs) == 6
-        assert ties.coins == expected_coins
+        assert ties.doubles == expected_doubles
+
+
+WIDTHS = (1, 47, 48, 49, 96, 97)
+
+
+def _wide_tie_panel():
+    """Columns a, b, c with tied rows of widths 1, 47, 48, 49, 96 and 97.
+
+    b holds the value v WIDTHS[v - 1] times; a holds each v in three rows
+    among distinct untied values, and c is b shuffled, so every row of b
+    ties with c across the whole width of its value.
+    """
+    rng = np.random.default_rng(71)
+    b = np.repeat(np.arange(1.0, 7.0), WIDTHS)
+    a = np.concatenate([np.repeat(np.arange(1.0, 7.0), 3),
+                        10.0 + rng.permutation(b.size - 18) / 7.0])
+    losses = np.column_stack([rng.permutation(a), rng.permutation(b), rng.permutation(b)])
+    return LossPanel(losses=losses, model_ids=("a", "b", "c"))
+
+
+class TestWideTiedRows:
+    """Rows wider than one double's 48 coins, at every coin chunk."""
+
+    @pytest.mark.parametrize("chunk", COIN_CHUNKS)
+    def test_pair_stats_match_oracle_and_draw_per_row(self, chunk):
+        panel = _wide_tie_panel()
+        losses = panel.losses
+        ties = _CountingTieStreams(17, 9)
+        expected_doubles = 0
+        with _coin_chunk(chunk):
+            for m in range(panel.n_models):
+                stats = pair_stats(panel, m, ties=ties)
+                u, se, psi = _oracle_pair_stats(panel, m, TieStreams(17, 9))
+                assert np.array_equal(stats.u, u)
+                assert np.array_equal(stats.se, se)
+                assert np.array_equal(stats.psi, psi)
+                for j in stats.competitors:
+                    width = (losses[:, m][:, None] == losses[:, j][None, :]).sum(axis=1)
+                    expected_doubles += int((-(-width // 48)).sum())
+        widths = {int(w) for w in (losses[:, 0][:, None] == losses[:, 1][None, :]).sum(axis=1)}
+        assert widths == {0, *WIDTHS}
+        assert ties.doubles == expected_doubles
+
+    @pytest.mark.parametrize("chunk", COIN_CHUNKS)
+    def test_ranksum_u_matches_brute_force(self, chunk):
+        panel = _wide_tie_panel()
+        for m, j in ((0, 1), (1, 2)):
+            a, b = panel.column(m), panel.column(j)
+            with _coin_chunk(chunk):
+                fast = ranksum_u(a, b, ties=keyed_stream(23, m))
+            assert fast == brute_ranksum(a, b, rng=keyed_stream(23, m))
+
+
+class TestTieCoinFairness:
+    """Fully tied pairs (both columns all 0 or all 1): every cell is a coin."""
+
+    SEEDS = range(200)
+
+    def test_row_wins_centre_on_half_the_tied_cells(self):
+        # A row of width 97 takes two whole doubles and bit 0 of a third.
+        n = 97
+        excess = 0.0
+        for seed in self.SEEDS:
+            panel = LossPanel(losses=np.full((n, 2), float(seed % 2)), model_ids=("a", "b"))
+            stats = pair_stats(panel, 0, ties=TieStreams(seed, 3))
+            excess += round(stats.u[0] * n * n) - n * n / 2
+        z = excess / math.sqrt(len(self.SEEDS) * n * n / 4)
+        assert abs(z) <= 4, z
+
+    def test_first_and_last_coin_bits_are_fair(self):
+        # With n = 48 each row is one double, and all cells tie in index
+        # order, so b's column wins at l count the rows whose bit l is 1.
+        # Bits 53-63 of x * 2**53 are always 0: a slice that reaches them
+        # puts 0 heads at one of these positions.
+        n = 48
+        heads = np.zeros(n)
+        for seed in self.SEEDS:
+            panel = LossPanel(losses=np.full((n, 2), float(seed % 2)), model_ids=("a", "b"))
+            _, _, col, _ = ranksum._reference_counts(
+                panel, 0, lambda j: TieStreams(seed, 3).pair("a", "b"))
+            heads += col[0]
+        trials = len(self.SEEDS) * n
+        bound = 4 * math.sqrt(trials / 4)
+        for bit in (0, n - 1):
+            assert abs(heads[bit] - trials / 2) <= bound, (bit, heads[bit])
 
 
 class TestReferencePassMemory:

@@ -226,6 +226,35 @@ class TestRsrCalibration:
         assert kept[1:].mean() / reps <= 0.2, kept / reps
 
 
+class TestRsrBinaryCalibration:
+    """RSR on i.i.d. 0/1-loss panels, n = 200, M = 5, alpha 0.1, no screening.
+
+    Most cells tie, so the tie coins settle much of each statistic. Seeds
+    and bands were fixed before the first run.
+    """
+
+    n, reps = 200, 200
+
+    def _retention(self, rates, tag):
+        kept = np.zeros(len(rates))
+        for rep in range(self.reps):
+            rng = np.random.default_rng([tag, self.n, len(rates), rep])
+            cfg = SelectionConfig(seed=rep, screening_enabled=False)
+            cs = rsr_from_panel(_binary_panel(rng, rates, self.n), cfg)
+            kept += cs.p_values >= cs.alpha
+        return kept / self.reps
+
+    def test_null_retention(self):
+        # Exchangeable models, each optimal: kept near 1 - alpha = 0.9.
+        retention = self._retention(np.full(5, 0.3), 2026)
+        assert np.all((retention >= 0.84) & (retention <= 0.98)), retention
+
+    def test_worse_models_rejected(self):
+        retention = self._retention(np.array([0.25, 0.4, 0.4, 0.4, 0.4]), 2027)
+        assert retention[0] >= 0.85, retention
+        assert retention[1:].mean() <= 0.2, retention
+
+
 class TestCvcStyleSelect:
     def test_identical_columns_retained(self):
         rng = np.random.default_rng(4)
