@@ -1,6 +1,6 @@
 """Losses and linear learners used to build loss panels.
 
-Provides squared/absolute/Huber losses, ordinary least squares, adaptive
+Provides absolute/Huber losses, ordinary least squares, adaptive
 Huber regression (IRLS with a data-driven robustification parameter), and
 l1-penalized Huber regression solved by proximal gradient with fixed step
 1/L, L = sigma_max([1 X])^2 / n, plus the lambda-path and subset-enumeration
@@ -84,20 +84,16 @@ class FittedLinear:
         x = np.asarray(x, dtype=float)
         return self.intercept + x @ self.coef
 
-    @property
-    def nonzero_count(self) -> int:
-        return int(np.count_nonzero(self.coef))
-
 
 @dataclass(frozen=True)
 class LossFn:
-    """Pointwise loss on residuals: squared, absolute, or Huber (knee tau)."""
+    """Pointwise loss on residuals: absolute, or Huber (knee tau)."""
 
     kind: str
     tau: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("squared", "absolute", "huber"):
+        if self.kind not in ("absolute", "huber"):
             raise ContractError(f"unknown loss kind: {self.kind!r}")
         if self.kind == "huber":
             if self.tau is None or not np.isfinite(self.tau) or self.tau <= 0:
@@ -111,9 +107,7 @@ def loss_eval(fn: LossFn, residual):
     r = np.asarray(residual, dtype=float)
     if not np.all(np.isfinite(r)):
         raise DataError("residuals must be finite")
-    if fn.kind == "squared":
-        out = r * r
-    elif fn.kind == "absolute":
+    if fn.kind == "absolute":
         out = np.abs(r)
     else:
         tau = float(fn.tau)

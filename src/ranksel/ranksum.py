@@ -24,6 +24,8 @@ drawn, from a stream created on demand, for pairs that have a tied cell.
 One double gives 48 coins, so a tied row of width w draws ceil(w / 48)
 doubles; they are drawn in chunks of whole rows, so the working memory of
 a tie-heavy pair is bounded by the chunk size, not by its tied-cell count.
+Coins are summed from their 64-bit words: row wins by popcount, column
+wins from one unpacked block per tied value.
 A brute-force O(n^2) evaluation that unpacks the same tie stream the same
 way produces bit-identical results (the tests rely on this).
 """
@@ -34,7 +36,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ContractError, DataError
 from .rng import TieStreams, keyed_stream
@@ -49,11 +50,12 @@ PSI_CENTERING_TOL = 1e-12
 # Tie coins unpacked from one double: the low 48 of the 53 bits it carries.
 _COIN_BITS = 48
 
-# Most coin bits (48 per double) materialized by one ``random`` call: whole
-# tied rows are drawn together up to this many bits (a single wider row is
+# Most coin bits (48 per double) drawn by one ``random`` call: whole tied
+# rows are drawn together up to this many bits (a single wider row is
 # drawn on its own). Bounds the per-chunk buffers on tie-heavy panels such
-# as 0/1 losses, and on panels of many one-cell ties.
-_COIN_CHUNK = 1 << 16
+# as 0/1 losses, and on panels of many one-cell ties: a chunk's words
+# unpack to at most 64/48 bytes per bit, about 350 KB.
+_COIN_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -197,37 +199,40 @@ def _add_tie_wins(row, col_sorted, lo, hi, gen: np.random.Generator) -> None:
     each cell the same coin whatever the chunking. Doubles come in chunks
     of whole rows of at most ``_COIN_CHUNK`` bits. Row wins are added to
     ``row`` (index order), column wins to ``col_sorted`` (sorted-b order).
+
+    Rows tied with the same value share one b-slice, so each value's words
+    form a (rows x ceil(w / 48)) block, masked to the row's w coins: row
+    wins are the block's popcounts, and column wins its bits unpacked and
+    summed down the rows.
     """
     width = hi - lo
     rows = np.flatnonzero(width)
     width = width[rows]
-    span = -(-width // _COIN_BITS) * _COIN_BITS      # bits a row's doubles hold
+    span = -(-width // _COIN_BITS)                   # doubles per row
     ends = np.cumsum(span)
     start = 0
     while start < rows.size:
         base = ends[start] - span[start]
-        stop = max(start + 1, int(np.searchsorted(ends, base + _COIN_CHUNK, side="right")))
+        stop = max(start + 1, int(np.searchsorted(
+            ends, base + _COIN_CHUNK // _COIN_BITS, side="right")))
         offsets = ends[start:stop] - span[start:stop] - base
-        words = (gen.random(int(ends[stop - 1] - base) // _COIN_BITS) * 2.0**53).astype("<u8")
-        # Little-endian bytes 0-5 hold bits 0-47 whatever the host's order.
-        bits = np.unpackbits(words.view(np.uint8).reshape(-1, 8)[:, :6].copy(),
-                             bitorder="little")
+        words = (gen.random(int(ends[stop - 1] - base)) * 2.0**53).astype("<u8")
+        # In-place masks keep the little-endian dtype, so the byte view
+        # below reads bit 0 first whatever the host's order.
+        words &= np.uint64((1 << _COIN_BITS) - 1)
         chunk = rows[start:stop]
-        # Rows tied with the same value share one b-slice, so each value's
-        # coins form a (rows x w) block, gathered as rows of a sliding
-        # window over the chunk's bits; it sums across to the row wins and
-        # down to the column wins, never touching a row's padding bits.
         first = lo[chunk]
         by_value = np.argsort(first, kind="stable")
         cuts = np.flatnonzero(np.diff(first[by_value])) + 1
         for group in np.split(by_value, cuts):
-            pos, w = first[group[0]], width[start + group[0]]
-            windows = as_strided(bits, (bits.size - w + 1, w), (1, 1), writeable=False)
-            block = windows[offsets[group]]
-            # Sums are at most max(w, rows): the narrowest exact type is fastest.
-            total = np.min_scalar_type(max(w, group.size))
-            row[chunk[group]] += block.sum(axis=1, dtype=total)
-            col_sorted[pos:pos + w] += block.sum(axis=0, dtype=total)
+            pos, w, k = first[group[0]], width[start + group[0]], span[start + group[0]]
+            block = words[offsets[group][:, None] + np.arange(k)]
+            block[:, -1] &= np.uint64((1 << int(w - _COIN_BITS * (k - 1))) - 1)
+            row[chunk[group]] += np.bitwise_count(block).sum(axis=1)
+            bits = np.unpackbits(block.view(np.uint8), axis=1, bitorder="little")
+            # Column sums are at most the row count: its narrowest type is fastest.
+            heads = np.add.reduce(bits, axis=0, dtype=np.min_scalar_type(group.size))
+            col_sorted[pos:pos + w] += heads.reshape(k, 64)[:, :_COIN_BITS].ravel()[:w]
         start = stop
 
 

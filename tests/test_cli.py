@@ -243,9 +243,10 @@ class TestCliSelect:
 
     def test_flags_echoed_in_params(self, data_csv, tmp_path):
         out = tmp_path / "out"
-        rc = main(["select", "--data", str(data_csv), "--response", "y",
-                   "--learners", "ols,huber", "--folds", "0",
-                   *NON_DEFAULT_FLAGS, "--seed", "4", "--out", str(out)])
+        with pytest.warns(UserWarning, match="B = 200"):
+            rc = main(["select", "--data", str(data_csv), "--response", "y",
+                       "--learners", "ols,huber", "--folds", "0",
+                       *NON_DEFAULT_FLAGS, "--seed", "4", "--out", str(out)])
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
         assert report["config"]["params"] == {
@@ -442,8 +443,10 @@ class TestCliPanel:
 
     def test_flags_echoed_in_params(self, panel_csv, tmp_path):
         out = tmp_path / "out"
-        assert main(["panel", "--losses", str(panel_csv[0]), *NON_DEFAULT_FLAGS,
-                     "--seed", "4", "--out", str(out)]) == 0
+        with pytest.warns(UserWarning, match="B = 200"):
+            rc = main(["panel", "--losses", str(panel_csv[0]), *NON_DEFAULT_FLAGS,
+                       "--seed", "4", "--out", str(out)])
+        assert rc == 0
         report = json.loads((out / "report.json").read_text())
         assert report["config"]["params"] == {
             "alpha": 0.1, "alpha_screen": 0.3, "s": 0.5, "B": 200,

@@ -546,6 +546,31 @@ class TestWideTiedRows:
             assert fast == brute_ranksum(a, b, rng=keyed_stream(23, m))
 
 
+class TestTallValueGroups:
+    """A value tied in over 510 rows of a: its column wins overflow uint8."""
+
+    @pytest.mark.parametrize("chunk", [None, 1 << 14])
+    def test_pair_stats_match_oracle(self, chunk):
+        # About 580 rows of a hold 0, so each column of that value's block
+        # sums to about 290 heads. At the default chunk each reference's
+        # coins are one draw, so the value's rows form one block; 2**14 bits
+        # split them over many chunks.
+        rng = np.random.default_rng(83)
+        losses = np.column_stack([rng.random(600) < 0.03,
+                                  rng.integers(0, 2, 600)]).astype(float)
+        panel = LossPanel(losses=losses, model_ids=("a", "b"))
+        assert np.count_nonzero(losses[:, 0] == 0) > 2 * 255
+        ties = _CountingTieStreams(19, 9)
+        with _coin_chunk(chunk):
+            for m in range(panel.n_models):
+                stats = pair_stats(panel, m, ties=ties)
+                u, se, psi = _oracle_pair_stats(panel, m, TieStreams(19, 9))
+                assert np.array_equal(stats.u, u)
+                assert np.array_equal(stats.se, se)
+                assert np.array_equal(stats.psi, psi)
+        assert ties.doubles <= 2 * (ranksum._COIN_CHUNK // 48)
+
+
 class TestTieCoinFairness:
     """Fully tied pairs (both columns all 0 or all 1): every cell is a coin."""
 
@@ -601,3 +626,23 @@ class TestReferencePassMemory:
         finally:
             tracemalloc.stop()
         assert peak < per_cell * n * n_models
+
+    def test_tie_coin_peak_is_bounded_by_the_chunk(self):
+        # A fully tied pair at n = 2000 has 4M tied cells. Its coins come in
+        # chunks of whole rows, so the peak holds a few chunks' buffers (the
+        # words unpack to 64/48 bytes per coin bit, and one chunk's buffers
+        # live on while the next is built) plus the pair's O(nM) rank
+        # arrays, far below a byte per tied cell.
+        n, n_models, per_cell = 2000, 2, 80
+        ids = ("a", "b")
+        pair_stats(LossPanel(losses=np.ones((60, n_models)), model_ids=ids), 0)  # lazy set-up
+        panel = LossPanel(losses=np.ones((n, n_models)), model_ids=ids)
+        bound = 4 * ranksum._COIN_CHUNK + per_cell * n * n_models
+        assert bound < n * n / 2
+        tracemalloc.start()
+        try:
+            pair_stats(panel, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound

@@ -768,7 +768,7 @@ class TestRsrSplitAndVfold:
         x = rng.standard_normal((n, 2))
         y = x @ np.array([1.0, -0.5]) + rng.standard_normal(n)
         data = Dataset(x=x, y=y)
-        loss = LossFn("squared")
+        loss = LossFn("absolute")
         cands = _ols_candidates(2)
         folds = make_folds(n, 2, seed=9)
         vpanel, _ = panel_from_folds(cands, data, folds, loss)
