@@ -57,7 +57,7 @@ class TestLossEval:
     def test_huber_linear_branch(self):
         assert loss_eval(LossFn("huber", tau=1.0), 2.0) == 1.5
 
-    def test_squared_refused_as_unknown_kind(self):
+    def test_unknown_kind_refused(self):
         with pytest.raises(ContractError, match="unknown loss kind: 'squared'"):
             LossFn("squared")
 
