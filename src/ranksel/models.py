@@ -10,8 +10,8 @@ aborting.
 
 Huber regression has one IRLS core, ``fit_huber_stack``: it fits a stack of
 same-shaped designs together, each model exactly as it would be fit alone,
-and reports a failure per model. ``fit_huber`` and ``fit_huber_adaptive`` are
-its one-model calls; Case 1 fits its subset models in a few large stacks.
+and reports a failure per model. ``fit_huber_adaptive`` is its one-model
+call; Case 1 fits its subset models in a few large stacks.
 """
 
 from __future__ import annotations
@@ -185,16 +185,17 @@ def fit_ols(data: Dataset) -> FittedLinear:
                         meta={"learner": "ols"})
 
 
-def huber_location(y, tau: float, max_iter: int = 100, tol: float = 1e-10) -> float:
-    """Huber M-estimate of location by IRLS."""
+def huber_location(y, tau: float) -> float:
+    """Huber M-estimate of location by IRLS: at most 100 passes, stopping
+    once a pass moves it by at most 1e-10 relative."""
     if not tau > 0:
         raise ContractError("tau must be positive")
     y = np.asarray(y, dtype=float)
     loc = _median(y)
-    for _ in range(max_iter):
+    for _ in range(100):
         w = _huber_weights(y - loc, tau)
         new = float(np.sum(w * y) / np.sum(w))
-        if abs(new - loc) <= tol * max(1.0, abs(loc)):
+        if abs(new - loc) <= 1e-10 * max(1.0, abs(loc)):
             return new
         loc = new
     return loc
@@ -235,26 +236,26 @@ def _each_alone(fn, *stacks):
     return keep, fn(*(a[keep] for a in stacks)) if keep.any() else None
 
 
-def fit_huber_stack(designs, y, tau: float = 1.0, adapt: bool = True,
-                    max_iter: int = 200, tol: float = 1e-8) -> HuberStack:
-    """Huber regressions by IRLS on k designs of one shape, fit together.
+def fit_huber_stack(designs, y, max_iter: int = 200) -> HuberStack:
+    """Adaptive Huber regressions by IRLS on k designs of one shape, together.
 
     ``designs`` is (k, n, d + 1) with the intercept column first and ``y`` is
-    (k, n). The knee is ``tau``, or with ``adapt`` it is recalibrated each
-    pass from the residuals' robust scale (see fit_huber_adaptive). Every
-    step runs slice by slice (a stacked SVD, row medians, batched products
-    and solves), so each model's result is the one it gets alone, bit for
-    bit, and a model that converges leaves the stack. A rank-deficient
-    design, a singular weighted Gram matrix or a non-finite fit fails its
-    own model only: a stacked SVD or solve that raises is retried model by
-    model to find the culprit.
+    (k, n). Each pass sets the knee to adaptive_tau(n, d, robust_scale(r)) of
+    the residuals r, so it tracks the noise scale and the effective sample
+    size; a model stops on a relative parameter change <= 1e-8, or is left
+    not converged after ``max_iter`` passes. Every step runs slice by slice
+    (a stacked SVD, row medians, batched products and solves), so each
+    model's result is the one it gets alone, bit for bit, and a model that
+    converges leaves the stack. A rank-deficient design, a singular weighted
+    Gram matrix or a non-finite fit fails its own model only: a stacked SVD
+    or solve that raises is retried model by model to find the culprit.
     """
     designs = np.asarray(designs, dtype=float)
     y = np.asarray(y, dtype=float)
     k, n, p = designs.shape
     d = p - 1
     theta = np.zeros((k, p))
-    taus = np.full(k, float(tau))
+    taus = np.ones(k)
     converged = np.zeros(k, dtype=bool)
     if n <= p:
         return HuberStack(theta, taus, converged, [f"need n > d + 1, got n={n}, d={d}"] * k)
@@ -290,7 +291,7 @@ def fit_huber_stack(designs, y, tau: float = 1.0, adapt: bool = True,
         design_t, resp, basis_t, basis, _ = stack
         fitted = np.matmul(np.swapaxes(design_t, 1, 2), theta[act][:, :, None])
         r = resp - fitted[:, :, 0]
-        knee = adaptive_tau(n, d, robust_scale(r)) if adapt else taus[act]
+        knee = adaptive_tau(n, d, robust_scale(r))
         weighted_t = basis_t * _huber_weights(r, knee[:, None])[:, None, :]
         ok, phi = _each_alone(np.linalg.solve, np.matmul(weighted_t, basis),
                               np.matmul(weighted_t, resp[:, :, None]))
@@ -303,7 +304,7 @@ def fit_huber_stack(designs, y, tau: float = 1.0, adapt: bool = True,
         prev = theta[act]
         new = np.matmul(np.swapaxes(stack[4], 1, 2), phi)[:, :, 0]   # (Vt / s)^T phi
         done = (np.linalg.norm(new - prev, axis=1)
-                <= tol * np.maximum(1.0, np.linalg.norm(prev, axis=1)))
+                <= 1e-8 * np.maximum(1.0, np.linalg.norm(prev, axis=1)))
         theta[act] = new
         taus[act] = knee
         converged[act[done]] = True
@@ -314,12 +315,12 @@ def fit_huber_stack(designs, y, tau: float = 1.0, adapt: bool = True,
     return HuberStack(theta, taus, converged, error)
 
 
-def _fit_one(data: Dataset, tau: float, adapt: bool, max_iter: int,
-             tol: float) -> FittedLinear:
-    """One Huber fit: fit_huber_stack on a stack of one design."""
+def fit_huber_adaptive(data: Dataset, max_iter: int = 200) -> FittedLinear:
+    """Huber regression with the knee recalibrated from the residual scale:
+    fit_huber_stack on a stack of one design. A run that exhausts max_iter
+    is returned with a ``not_converged`` flag rather than discarded."""
     design = np.column_stack([np.ones(data.n), data.x])
-    fit = fit_huber_stack(design[None], data.y[None], tau=tau, adapt=adapt,
-                          max_iter=max_iter, tol=tol)
+    fit = fit_huber_stack(design[None], data.y[None], max_iter=max_iter)
     if fit.error[0] is not None:
         raise LearnerError(fit.error[0])
     theta = fit.theta[0]
@@ -328,27 +329,6 @@ def _fit_one(data: Dataset, tau: float, adapt: bool, max_iter: int,
     if not converged:
         meta["not_converged"] = True
     return FittedLinear(intercept=float(theta[0]), coef=theta[1:], meta=meta)
-
-
-def fit_huber(data: Dataset, tau: float, max_iter: int = 200,
-              tol: float = 1e-8) -> FittedLinear:
-    """Huber regression at a fixed robustification parameter."""
-    if tau <= 0:
-        raise ContractError("tau must be positive")
-    return _fit_one(data, tau, adapt=False, max_iter=max_iter, tol=tol)
-
-
-def fit_huber_adaptive(data: Dataset, max_iter: int = 200,
-                       tol: float = 1e-8) -> FittedLinear:
-    """Huber regression with the knee recalibrated from the residual scale.
-
-    Each IRLS pass sets tau = 1.345 * mad_scale(residuals) * sqrt(n / (d +
-    log n)) before reweighting, so the robustification level tracks both the
-    noise scale and the effective sample size. Stops on relative parameter
-    change <= tol; a run that exhausts max_iter is returned with a
-    ``not_converged`` flag rather than discarded.
-    """
-    return _fit_one(data, 1.0, adapt=True, max_iter=max_iter, tol=tol)
 
 
 def _huber_objective(r, tau: float) -> float:

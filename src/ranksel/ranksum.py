@@ -233,6 +233,10 @@ def _add_tie_wins(row, col_sorted, lo, hi, gen: np.random.Generator) -> None:
             # Column sums are at most the row count: its narrowest type is fastest.
             heads = np.add.reduce(bits, axis=0, dtype=np.min_scalar_type(group.size))
             col_sorted[pos:pos + w] += heads.reshape(k, 64)[:, :_COIN_BITS].ravel()[:w]
+            # Free each buffer before the next is built: the peak holds one
+            # chunk's buffers, not two.
+            del block, bits, heads
+        del words
         start = stop
 
 

@@ -4,12 +4,11 @@ Case 1 draws low-dimensional regressions with t-distributed designs and
 Cauchy noise, fits every intercept-bearing covariate subset by adaptive
 Huber regression, and compares the selection methods on out-of-fold Huber
 losses. ``subset_panel`` fits the subset models of one size and one
-training size, across all folds, in one stacked IRLS call;
-``subset_candidates`` is the same family as one candidate per subset. Case 2
-draws high-dimensional AR(1)-correlated Gaussian designs with t noise and
-treats a 50-point lasso penalty path as the candidate family; the sparsest
-penalty in each confidence set is refit on the full data after the
-fold-size correction.
+training size, across all folds, in one stacked IRLS call. Case 2 draws
+high-dimensional AR(1)-correlated Gaussian designs with t noise and treats
+a 50-point lasso penalty path as the candidate family; the sparsest penalty
+in each confidence set is refit on the full data after the fold-size
+correction.
 
 Replicates are independent jobs keyed by (seed, replicate); running them
 across processes changes nothing but wall time.
@@ -26,17 +25,18 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ContractError
+# fit_huber_adaptive and panel_from_folds are no longer called here, but
+# perfbench/tracing.py wraps these module attributes (ROADMAP item 9).
+from .models import fit_huber_adaptive  # noqa: F401
 from .models import (Dataset, FittedLinear, LossFn, adaptive_tau, enumerate_subsets,
-                     fit_huber_adaptive, fit_huber_lasso, fit_huber_stack,
-                     huber_lasso_lipschitz, huber_location, lambda_fold_correction,
-                     lambda_path, loss_eval, robust_scale, subset_mask_id)
+                     fit_huber_lasso, fit_huber_stack, huber_lasso_lipschitz,
+                     huber_location, lambda_fold_correction, lambda_path, loss_eval,
+                     robust_scale, subset_mask_id)
 from .ranksum import LossPanel
 from .rng import keyed_stream, subseed
-# panel_from_folds is no longer called here, but perfbench/tracing.py wraps
-# this module's attribute (ROADMAP item 9).
-from .select import (Candidate, SelectionConfig, cv_select,  # noqa: F401
-                     cvc_style_select, make_folds, panel_from_folds, pcv_select,
-                     rsr_from_panel, survivor_panel)
+from .select import panel_from_folds  # noqa: F401
+from .select import (SelectionConfig, cv_select, cvc_style_select, make_folds,
+                     pcv_select, rsr_from_panel, survivor_panel)
 
 TAG_C1_DATA = 201
 TAG_C1_FOLDS = 202
@@ -181,44 +181,21 @@ def _huber_centre(y: np.ndarray) -> float:
     return huber_location(y, adaptive_tau(y.size, 0, robust_scale(y)))
 
 
-def _intercept_only_fitter(d: int):
-    def fit(data):
-        return FittedLinear(intercept=_huber_centre(data.y), coef=np.zeros(d))
-    return fit
-
-
-def _subset_fitter(subset: tuple[int, ...], d: int):
-    if not subset:
-        return _intercept_only_fitter(d)
-    cols = list(subset)
-
-    def fit(data):
-        fm = fit_huber_adaptive(Dataset(x=data.x[:, cols], y=data.y))
-        coef = np.zeros(d)
-        coef[cols] = fm.coef
-        return FittedLinear(intercept=fm.intercept, coef=coef, meta=fm.meta)
-    return fit
-
-
-def subset_candidates(d: int = CASE1_D) -> list[Candidate]:
-    """All 2^d intercept-bearing subset models fit by adaptive Huber."""
-    return [Candidate(model_id=subset_mask_id(s, d), fit=_subset_fitter(s, d))
-            for s in enumerate_subsets(d)]
-
-
-def subset_panel(data: Dataset, folds, loss: LossFn, d: int = CASE1_D):
-    """``panel_from_folds(subset_candidates(d), data, folds, loss)``: the same
-    out-of-fold panel, column order and failed ids, bit for bit, from one
-    fit_huber_stack call per (subset size, training size) across all folds.
-    A model fails if its fit fails or its residuals are not finite on any
-    fold; the intercept-only model is fit by huber_location, fold by fold."""
+def subset_panel(data: Dataset, folds, loss: LossFn):
+    """Case 1's out-of-fold panel of every intercept-bearing subset of the
+    CASE1_D covariates, in enumerate_subsets order, and the failed ids: one
+    fit_huber_stack call per (subset size, training size) across all folds,
+    each model as fit_huber_adaptive fits it alone. A model fails if its fit
+    fails or its residuals are not finite on any fold; the intercept-only
+    model is fit by huber_location, fold by fold."""
+    d = CASE1_D
     subsets = enumerate_subsets(d)
     ids = [subset_mask_id(sub, d) for sub in subsets]
     trains = [np.setdiff1d(np.arange(data.n), fold) for fold in folds]
     x_trains = [data.x[train] for train in trains]
     y_trains = [data.y[train] for train in trains]
     # theta[f, j]: [intercept, coef] of model j trained without fold f, its
-    # coef zero off subset j, as _subset_fitter pads it.
+    # coef zero off subset j.
     theta = np.zeros((len(folds), len(subsets), d + 1))
     theta[:, 0, 0] = [_huber_centre(y_train) for y_train in y_trains]
     failed = set()
@@ -296,7 +273,7 @@ def case1_replicate(config: Case1Config, rep: int) -> list[dict]:
     loss = LossFn("huber", tau=adaptive_tau(n, d, robust_scale(y)))
 
     folds = make_folds(n, config.V, subseed(config.seed, TAG_C1_FOLDS, rep))
-    panel, failed = subset_panel(data, folds, loss, d)
+    panel, failed = subset_panel(data, folds, loss)
     if panel is None:
         raise ConfigError("fewer than two candidates survived training")
     true_id = subset_mask_id(CASE1_TRUE_SUBSET, d)

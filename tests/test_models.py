@@ -1,17 +1,23 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ranksel import (ContractError, Dataset, DataError, LearnerError, LossFn,
-                     adaptive_tau, enumerate_subsets, fit_huber, fit_huber_adaptive,
+                     adaptive_tau, enumerate_subsets, fit_huber_adaptive,
                      fit_huber_lasso, fit_ols, huber_location, lambda_fold_correction,
                      lambda_path, loss_eval, mad_scale, make_folds, panel_from_folds)
 from ranksel import models
 from ranksel.models import (_huber_weights, _median, fit_huber_stack, huber_lasso_lipschitz,
                              huber_score, robust_scale, subset_mask_id)
 from ranksel.rng import keyed_stream
-from ranksel.simlab import TAG_C2_DATA, ar1_design, subset_candidates
+from ranksel.simlab import TAG_C2_DATA, ar1_design
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from test_simlab import subset_candidates  # noqa: E402
 
 
 def _lstsq_irls(data, tau0, adapt, max_iter=200, tol=1e-8):
@@ -194,15 +200,13 @@ class TestIrlsCore:
         real_mad = models.mad_scale
         monkeypatch.setattr(models, "mad_scale",
                             lambda v: passes.append(1) or real_mad(v))
-        ref_adaptive = _lstsq_irls(data, 1.0, adapt=True)
-        for fit, (theta, converged, _) in (
-                (fit_huber_adaptive(data), ref_adaptive),
-                (fit_huber(data, tau=1.5), _lstsq_irls(data, 1.5, adapt=False))):
-            got = np.concatenate([[fit.intercept], fit.coef])
-            assert np.abs(got - theta).max() <= 1e-10 * max(1.0, np.abs(theta).max())
-            assert fit.meta["converged"] is converged
-        # one mad_scale call per adaptive pass, none for the fixed knee
-        assert len(passes) == ref_adaptive[2]
+        theta, converged, n_passes = _lstsq_irls(data, 1.0, adapt=True)
+        fit = fit_huber_adaptive(data)
+        got = np.concatenate([[fit.intercept], fit.coef])
+        assert np.abs(got - theta).max() <= 1e-10 * max(1.0, np.abs(theta).max())
+        assert fit.meta["converged"] is converged
+        # one mad_scale call per pass
+        assert len(passes) == n_passes
 
     @pytest.mark.parametrize("spread", [1e-6, 1e-8, 1e-10])
     def test_nearly_collinear_design_matches_lstsq_reference(self, spread):
@@ -218,15 +222,13 @@ class TestIrlsCore:
         assert np.abs(got - theta).max() <= 1e-6 * np.abs(theta).max()
         assert fit.meta["converged"] is converged
 
-    @pytest.mark.parametrize("learner", [fit_huber_adaptive,
-                                         lambda data: fit_huber(data, tau=1.0)])
     @pytest.mark.parametrize("bad", ["duplicate", "constant"])
-    def test_rank_deficient_design_raises(self, learner, bad):
+    def test_rank_deficient_design_raises(self, bad):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((50, 2))
         x[:, 1] = x[:, 0] if bad == "duplicate" else 3.0
         with pytest.raises(LearnerError, match="rank deficient"):
-            learner(Dataset(x=x, y=rng.standard_t(3, size=50)))
+            fit_huber_adaptive(Dataset(x=x, y=rng.standard_t(3, size=50)))
 
     def test_singular_gram_raises_learner_error(self, monkeypatch):
         def singular(a, b):
@@ -250,10 +252,9 @@ class TestIrlsCore:
 
     def test_max_iter_one_is_not_converged(self):
         data = _heavy_tailed(np.random.default_rng(13), 100, 2, 3)
-        for fit in (fit_huber_adaptive(data, max_iter=1),
-                    fit_huber(data, tau=1.0, max_iter=1)):
-            assert fit.meta["converged"] is False
-            assert fit.meta["not_converged"] is True
+        fit = fit_huber_adaptive(data, max_iter=1)
+        assert fit.meta["converged"] is False
+        assert fit.meta["not_converged"] is True
 
 
 class TestFitHuberStack:
@@ -276,12 +277,11 @@ class TestFitHuberStack:
             assert fit.converged[i] == one.converged[0], i
             assert fit.error[i] == one.error[0], i
 
-    @pytest.mark.parametrize("adapt", [True, False])
-    def test_each_model_matches_its_own_call(self, adapt):
+    def test_each_model_matches_its_own_call(self):
         designs, y = self._stack(np.random.default_rng(20), 12, 60, 3)
-        fit = fit_huber_stack(designs, y, tau=1.5, adapt=adapt)
+        fit = fit_huber_stack(designs, y)
         assert fit.error == [None] * 12 and fit.converged.all()
-        self._assert_rows_alone(fit, designs, y, range(12), tau=1.5, adapt=adapt)
+        self._assert_rows_alone(fit, designs, y, range(12))
 
     def test_one_call_is_fit_huber_adaptive(self):
         data = _heavy_tailed(np.random.default_rng(23), 50, 2, 3)
@@ -391,9 +391,10 @@ class TestHuberLasso:
         data = self._toy(n=120, d=3, seed=6)
         tau = 1.5
         lasso = fit_huber_lasso(data, lam=1e-8, tau=tau, max_iter=20000, tol=1e-14)
-        irls = fit_huber(data, tau=tau, tol=1e-12)
-        assert abs(lasso.intercept - irls.intercept) < 1e-4
-        assert np.abs(lasso.coef - irls.coef).max() < 1e-4
+        theta, converged, _ = _lstsq_irls(data, tau, adapt=False, tol=1e-12)
+        assert converged
+        assert abs(lasso.intercept - theta[0]) < 1e-4
+        assert np.abs(lasso.coef - theta[1:]).max() < 1e-4
 
     def test_kkt_conditions(self):
         tau = 1.2

@@ -629,15 +629,15 @@ class TestReferencePassMemory:
 
     def test_tie_coin_peak_is_bounded_by_the_chunk(self):
         # A fully tied pair at n = 2000 has 4M tied cells. Its coins come in
-        # chunks of whole rows, so the peak holds a few chunks' buffers (the
-        # words unpack to 64/48 bytes per coin bit, and one chunk's buffers
-        # live on while the next is built) plus the pair's O(nM) rank
-        # arrays, far below a byte per tied cell.
+        # chunks of whole rows, so the peak holds one chunk's buffers (its
+        # words, and their block unpacked to 64/48 bytes per coin bit; each
+        # chunk's are released before the next is built) plus the pair's
+        # O(nM) rank arrays, far below a byte per tied cell.
         n, n_models, per_cell = 2000, 2, 80
         ids = ("a", "b")
         pair_stats(LossPanel(losses=np.ones((60, n_models)), model_ids=ids), 0)  # lazy set-up
         panel = LossPanel(losses=np.ones((n, n_models)), model_ids=ids)
-        bound = 4 * ranksum._COIN_CHUNK + per_cell * n * n_models
+        bound = 2 * ranksum._COIN_CHUNK + per_cell * n * n_models
         assert bound < n * n / 2
         tracemalloc.start()
         try:

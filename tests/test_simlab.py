@@ -1,13 +1,41 @@
 import numpy as np
 import pytest
 
-from ranksel import (Case1Config, Case2Config, ConfigError, Dataset, LossFn,
-                     adaptive_tau, enumerate_subsets, keyed_stream, make_folds,
-                     panel_from_folds, run_case1, run_case2, sample_student_t,
-                     subset_candidates)
+from ranksel import (Candidate, Case1Config, Case2Config, ConfigError, Dataset,
+                     FittedLinear, LossFn, adaptive_tau, enumerate_subsets,
+                     fit_huber_adaptive, keyed_stream, make_folds, panel_from_folds,
+                     run_case1, run_case2, sample_student_t)
 from ranksel.models import robust_scale, subset_mask_id
-from ranksel.simlab import (CASE1_BETA, TAG_C1_DATA, ar1_design, case1_replicate,
-                            case2_replicate, subset_panel)
+from ranksel.simlab import (CASE1_BETA, CASE1_D, TAG_C1_DATA, _huber_centre, ar1_design,
+                            case1_replicate, case2_replicate, subset_panel)
+
+
+# Case 1's family one candidate at a time: the per-candidate oracle that
+# subset_panel must match through panel_from_folds.
+
+def _intercept_only_fitter(d: int):
+    def fit(data):
+        return FittedLinear(intercept=_huber_centre(data.y), coef=np.zeros(d))
+    return fit
+
+
+def _subset_fitter(subset: tuple[int, ...], d: int):
+    if not subset:
+        return _intercept_only_fitter(d)
+    cols = list(subset)
+
+    def fit(data):
+        fm = fit_huber_adaptive(Dataset(x=data.x[:, cols], y=data.y))
+        coef = np.zeros(d)
+        coef[cols] = fm.coef
+        return FittedLinear(intercept=fm.intercept, coef=coef, meta=fm.meta)
+    return fit
+
+
+def subset_candidates(d: int = CASE1_D) -> list[Candidate]:
+    """All 2^d intercept-bearing subset models fit by adaptive Huber."""
+    return [Candidate(model_id=subset_mask_id(s, d), fit=_subset_fitter(s, d))
+            for s in enumerate_subsets(d)]
 
 
 class TestStudentT:
