@@ -1,7 +1,6 @@
 """Rank-sum based robust model selection with bootstrap confidence sets."""
 
-from .bootstrap import (BootstrapConfig, BootstrapResult, multiplier_min_bootstrap,
-                        normal_quantile, p_value, run_min_bootstrap)
+from .bootstrap import BootstrapConfig, multiplier_min_bootstrap, run_min_bootstrap
 from .errors import ConfigError, ContractError, DataError, LearnerError, RankselError
 from .models import (Dataset, FittedLinear, LossFn, adaptive_tau, enumerate_subsets,
                      fit_huber_adaptive, fit_huber_lasso, fit_ols, huber_location,

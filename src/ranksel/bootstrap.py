@@ -14,9 +14,9 @@ the same scale. p-values count draws strictly below the observed value.
 The multipliers do not depend on psi, so one (B, n) block can serve many
 tests: a ``BootstrapConfig`` draws its block on first use and hands the
 same block to every later bootstrap run with it. Each p-value stays
-marginally valid. ``run_min_bootstrap`` also takes many tests at once: their
-psi columns side by side in one block, with the number of columns each
-owns, so one product with the multipliers serves them all.
+marginally valid. ``run_min_bootstrap``, where draws become p-values, takes
+many tests at once: their psi columns side by side in one block, with the
+number of columns each owns, so one product serves them all.
 """
 
 from __future__ import annotations
@@ -26,15 +26,16 @@ import operator
 import sys
 import warnings
 from dataclasses import dataclass, field
-from statistics import NormalDist
 
 import numpy as np
 
 from .errors import ContractError
-from .ranksum import PSI_CENTERING_TOL
 from .rng import multiplier_matrix
 
 RECOMMENDED_MIN_DRAWS = 500
+
+# Tolerance on projection-score column means, relative to n.
+PSI_CENTERING_TOL = 1e-12
 
 
 def _caller_stacklevel() -> int:
@@ -86,13 +87,6 @@ class BootstrapConfig:
         return block
 
 
-@dataclass(frozen=True)
-class BootstrapResult:
-    t_obs: float
-    draws: np.ndarray = field(repr=False)
-    p_value: float
-
-
 def _checked_product(psi, config: BootstrapConfig) -> np.ndarray:
     """The (B, p) product of the multipliers with psi, once psi is checked."""
     psi = np.asarray(psi, dtype=float)
@@ -122,29 +116,22 @@ def multiplier_min_bootstrap(psi, config: BootstrapConfig) -> np.ndarray:
     return _checked_product(psi, config).min(axis=1) / math.sqrt(np.shape(psi)[0])
 
 
-def p_value(t_obs: float, draws) -> float:
-    """Share of bootstrap draws strictly below the observed statistic."""
-    draws = np.asarray(draws, dtype=float)
-    if draws.size == 0:
-        raise ContractError("draws must be nonempty")
-    return float(np.sum(draws < float(t_obs)) / draws.size)
-
-
-def run_min_bootstrap(mu, psi, config: BootstrapConfig,
-                      sizes=None) -> list[BootstrapResult]:
-    """Observed statistic sqrt(n) * min(mu), draws and p-value of each test.
+def run_min_bootstrap(mu, psi, config: BootstrapConfig, sizes):
+    """Observed statistic, draws and p-value of each test, as arrays.
 
     The columns of mu and psi are laid out test by test, ``sizes[r]`` of
-    them for test r (default: one test owning them all). The block is
-    checked and multiplied by the multipliers once; test r's draws are the
-    row minima over its own columns, as ``multiplier_min_bootstrap`` gives
-    them on those columns alone but for BLAS rounding in the wider product.
+    them for test r; the block is checked and multiplied by the multipliers
+    once. Returns ``(t_obs, draws, p_values)`` of shapes (R,), (B, R) and
+    (R,): test r's sqrt(n) * min(mu) over its columns, its draws (the row
+    minima over those columns, as ``multiplier_min_bootstrap`` gives them on
+    those columns alone but for BLAS rounding in the wider product), and
+    the share of its draws strictly below its t_obs.
     """
     mu = np.asarray(mu, dtype=float)
     psi = np.asarray(psi, dtype=float)
     if mu.ndim != 1 or psi.ndim != 2 or psi.shape[1] != mu.size:
         raise ContractError("mu and psi shapes are inconsistent")
-    sizes = np.array([mu.size] if sizes is None else sizes, dtype=int)
+    sizes = np.array(sizes, dtype=int)
     if sizes.ndim != 1 or sizes.size == 0 or sizes.min() < 1 or sizes.sum() != mu.size:
         raise ContractError(
             f"segment sizes {sizes.tolist()} must be positive and sum to {mu.size}")
@@ -152,13 +139,4 @@ def run_min_bootstrap(mu, psi, config: BootstrapConfig,
     root_n = math.sqrt(psi.shape[0])
     t_obs = root_n * np.minimum.reduceat(mu, starts)
     draws = np.minimum.reduceat(_checked_product(psi, config), starts, axis=1) / root_n
-    return [BootstrapResult(t_obs=float(t), draws=d, p_value=p_value(t, d))
-            for t, d in zip(t_obs, draws.T)]
-
-
-def normal_quantile(q: float) -> float:
-    """Inverse standard normal CDF on (0, 1)."""
-    q = float(q)
-    if not 0.0 < q < 1.0:
-        raise ContractError(f"quantile level must be in (0, 1), got {q}")
-    return NormalDist().inv_cdf(q)
+    return t_obs, draws, np.count_nonzero(draws < t_obs, axis=0) / draws.shape[0]

@@ -150,7 +150,7 @@ def read_xy_csv(path, response: str):
 def parse_config_file(path) -> dict[str, str]:
     """Flat `key = value` file; '#' starts a comment; each key is set once."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     out: dict[str, tuple[int, str]] = {}

@@ -44,9 +44,6 @@ from .rng import TieStreams, keyed_stream
 # degenerate co-monotone case where the projection variance collapses.
 VARIANCE_FLOOR = 1e-6
 
-# Tolerance on projection-score column means, relative to n.
-PSI_CENTERING_TOL = 1e-12
-
 # Tie coins unpacked from one double: the low 48 of the 53 bits it carries.
 _COIN_BITS = 48
 

@@ -22,13 +22,14 @@ therefore reorders the results and changes nothing else:
 * ``cvc_style_select``: studentized mean loss differences (intentionally
   non-robust); a competitor's constant win rejects m outright.
 
-``cv_select`` is plain argmin of average loss (singleton set). Every set
-keeps {m : p_m >= alpha}. ``rsr_from_candidates`` wraps training: it
-splits the data (V = 0: one sample split, evaluated on the second fold of
-a 2-fold plan; V >= 2: V folds), ``panel_from_folds`` fits and scores each
-candidate fold by fold into the out-of-sample |residual| panel, and
-``rsr_from_panel`` reads it. A candidate whose learner fails is flagged
-and assigned p-value 0; candidate ids must be distinct.
+``cv_select`` is plain argmin of the panel's mean loss (singleton set).
+All four take ``(panel, config)``; every set keeps {m : p_m >= alpha}.
+``rsr_from_candidates`` wraps training: it splits the data (V = 0: one
+sample split, evaluated on the second fold of a 2-fold plan; V >= 2: V
+folds), ``panel_from_folds`` fits and scores each candidate fold by fold
+into the out-of-sample |residual| panel, and ``rsr_from_panel`` reads it.
+A candidate whose learner fails is flagged and assigned p-value 0;
+candidate ids must be distinct.
 """
 
 from __future__ import annotations
@@ -36,11 +37,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, integral, normal_quantile, run_min_bootstrap
+from .bootstrap import BootstrapConfig, integral, run_min_bootstrap
 from .errors import ContractError, LearnerError
 from .models import Dataset, LossFn, loss_eval
 from .ranksum import LossPanel, pair_stats
@@ -159,7 +161,10 @@ def screen(mu, se, n_models: int, alpha_screen: float, s: float) -> np.ndarray:
         raise ContractError("se entries must be positive")
     if n_models < 2:
         raise ContractError("need at least two models")
-    c = normal_quantile(1.0 - alpha_screen / (n_models - 1) ** (1.0 + s))
+    level = 1.0 - alpha_screen / (n_models - 1) ** (1.0 + s)
+    if not 0.0 < level < 1.0:
+        raise ContractError(f"quantile level must be in (0, 1), got {level}")
+    c = NormalDist().inv_cdf(level)
     return np.nonzero(mu / se <= 2.0 * c)[0]
 
 
@@ -194,11 +199,11 @@ def _select_loop(panel: LossPanel, config: SelectionConfig, method: str,
 
     def bootstrap_block():
         used = sum(sizes)
-        results = run_min_bootstrap(mu_block[:used], psi_block[:, :used],
-                                    config.bootstrap, sizes)
-        for m, size, result in zip(refs, sizes, results):
-            p_vals[m] = result.p_value
-            diagnostics[m] = {"t_obs": result.t_obs, "n_cols": size}
+        t_obs, _, p = run_min_bootstrap(mu_block[:used], psi_block[:, :used],
+                                        config.bootstrap, sizes)
+        p_vals[refs] = p
+        for m, size, t in zip(refs, sizes, t_obs):
+            diagnostics[m] = {"t_obs": float(t), "n_cols": size}
         refs.clear()
         sizes.clear()
 
@@ -297,21 +302,13 @@ def cvc_style_select(panel: LossPanel, config: SelectionConfig) -> ConfidenceSet
     return _select_loop(panel, config, "cvc_style", partial(_cvc_evidence, panel))
 
 
-def cv_select(panel_risk, model_ids=None, alpha: float = 0.1) -> ConfidenceSet:
-    """Classical cross-validation: the single model with the smallest risk."""
-    risks = np.asarray(panel_risk, dtype=float)
-    if risks.ndim != 1 or risks.size < 1:
-        raise ContractError("panel_risk must be a nonempty vector")
-    if not np.all(np.isfinite(risks)):
-        raise ContractError("risks must be finite")
-    if not 0.0 < alpha < 1.0:
-        raise ContractError(f"alpha must be in (0, 1), got {alpha}")
+def cv_select(panel: LossPanel, config: SelectionConfig) -> ConfidenceSet:
+    """Classical cross-validation: the single model with the smallest mean loss."""
+    risks = panel.losses.mean(axis=0)
     best = int(np.argmin(risks))   # argmin takes the first index on ties
-    if model_ids is None:
-        model_ids = tuple(str(i) for i in range(risks.size))
     p_vals = np.zeros(risks.size)
     p_vals[best] = 1.0
-    return ConfidenceSet(method="cv", alpha=alpha, model_ids=tuple(model_ids),
+    return ConfidenceSet(method="cv", alpha=config.alpha, model_ids=panel.model_ids,
                          p_values=p_vals,
                          diagnostics={best: {"risk": float(risks[best])}})
 

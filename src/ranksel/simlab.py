@@ -251,14 +251,9 @@ def _check_study_settings(case_cfg, v_folds: int) -> None:
 
 def _select(method: str, panel: LossPanel, sel_cfg: SelectionConfig):
     """One study method's confidence set on a replicate's loss panel."""
-    # Looked up at call time, so wrappers installed on this module apply.
-    if method == "rsr":
-        return rsr_from_panel(panel, sel_cfg)
-    if method == "pcv":
-        return pcv_select(panel, sel_cfg)
-    if method == "cvc_style":
-        return cvc_style_select(panel, sel_cfg)
-    return cv_select(panel.losses.mean(axis=0), panel.model_ids, alpha=sel_cfg.alpha)
+    # Built per call, so wrappers installed on this module apply.
+    return {"rsr": rsr_from_panel, "pcv": pcv_select, "cvc_style": cvc_style_select,
+            "cv": cv_select}[method](panel, sel_cfg)
 
 
 def case1_replicate(config: Case1Config, rep: int) -> list[dict]:
@@ -384,9 +379,7 @@ def case2_replicate(config: Case2Config, rep: int) -> list[dict]:
     refit_cache: dict[int, FittedLinear] = {}
     for method in config.methods:
         cs = _select(method, panel, sel_cfg)
-        if method == "cv":
-            chosen = cs.selected[0]
-        elif cs.selected:
+        if cs.selected:
             chosen = min(cs.selected)     # path is decreasing: sparsest model
         else:
             chosen = int(np.argmax(cs.p_values))

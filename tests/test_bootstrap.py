@@ -2,11 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import norm
 
 from ranksel import (BootstrapConfig, ContractError, SelectionConfig,
-                     multiplier_min_bootstrap, normal_quantile, p_value,
-                     run_min_bootstrap)
+                     multiplier_min_bootstrap, run_min_bootstrap)
 
 
 def _centered(rng, n, p):
@@ -101,29 +99,54 @@ class TestBootstrapConfig:
         assert len(recwarn) == 0
 
 
+def _p_at(t, psi, cfg):
+    """``run_min_bootstrap``'s draws at zero mu and its p-value at t_obs = t
+    (every mu set to t / sqrt(n)); the draws do not depend on mu."""
+    n, p = psi.shape
+    _, draws, _ = run_min_bootstrap(np.zeros(p), psi, cfg, [p])
+    t_obs, _, p_value = run_min_bootstrap(np.full(p, t / math.sqrt(n)), psi, cfg, [p])
+    return draws[:, 0], t_obs[0], p_value[0]
+
+
 class TestPValue:
+    """p-values as ``run_min_bootstrap`` counts them from its own draws."""
+
     def test_below_all(self):
-        assert p_value(-10.0, [-1.0, 0.0, 1.0]) == 0.0
+        psi = _centered(np.random.default_rng(9), 25, 2)
+        cfg = BootstrapConfig(B=500, seed=4)
+        draws, _, _ = _p_at(0.0, psi, cfg)
+        assert _p_at(draws.min() - 1.0, psi, cfg)[2] == 0.0
 
     def test_above_all(self):
-        assert p_value(10.0, [-1.0, 0.0, 1.0]) == 1.0
+        psi = _centered(np.random.default_rng(9), 25, 2)
+        cfg = BootstrapConfig(B=500, seed=4)
+        draws, _, _ = _p_at(0.0, psi, cfg)
+        assert _p_at(draws.max() + 1.0, psi, cfg)[2] == 1.0
 
     def test_strict_count(self):
-        assert p_value(0.5, [-1.0, 0.0, 1.0, 2.0]) == 0.5
+        # n = 64: mu = t / 8 scales back to t_obs = t exactly, so t_obs can
+        # equal the k-th smallest draw, which then does not count.
+        psi = _centered(np.random.default_rng(10), 64, 3)
+        cfg = BootstrapConfig(B=500, seed=6)
+        draws = np.sort(_p_at(0.0, psi, cfg)[0])
+        assert np.unique(draws).size == cfg.B
+        for k in (50, 250, 450):
+            _, t_obs, p = _p_at(draws[k], psi, cfg)
+            assert t_obs == draws[k]
+            assert p == k / cfg.B
 
     def test_ties_do_not_count(self):
-        assert p_value(0.0, [0.0, 0.0, -1.0, 1.0]) == 0.25
+        # Zero scores give draws of exactly 0; t_obs = 0 ties every one.
+        draws, t_obs, p = _p_at(0.0, np.zeros((10, 2)), BootstrapConfig(B=500, seed=1))
+        assert np.all(draws == 0.0) and t_obs == 0.0
+        assert p == 0.0
 
     def test_monotone_in_t_obs(self):
-        rng = np.random.default_rng(10)
-        draws = rng.standard_normal(200)
-        grid = np.linspace(-3, 3, 25)
-        ps = [p_value(t, draws) for t in grid]
+        psi = _centered(np.random.default_rng(10), 36, 3)
+        cfg = BootstrapConfig(B=500, seed=6)
+        ps = [_p_at(t, psi, cfg)[2] for t in np.linspace(-3, 3, 25)]
         assert all(p1 <= p2 for p1, p2 in zip(ps, ps[1:]))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ContractError):
-            p_value(0.0, [])
+        assert ps[0] < ps[-1]
 
 
 class TestRunMinBootstrap:
@@ -131,21 +154,23 @@ class TestRunMinBootstrap:
         rng = np.random.default_rng(11)
         psi = _centered(rng, 36, 2)
         mu = np.array([0.2, -0.1])
-        [res] = run_min_bootstrap(mu, psi, BootstrapConfig(B=500, seed=5))
-        assert res.t_obs == pytest.approx(math.sqrt(36) * -0.1)
-        assert res.p_value == p_value(res.t_obs, res.draws)
+        t_obs, draws, p = run_min_bootstrap(mu, psi, BootstrapConfig(B=500, seed=5), [2])
+        assert (t_obs.shape, draws.shape, p.shape) == ((1,), (500, 1), (1,))
+        assert t_obs[0] == pytest.approx(math.sqrt(36) * -0.1)
+        assert p[0] == np.count_nonzero(draws[:, 0] < t_obs[0]) / 500
 
     def test_segments_match_separate_runs(self):
         rng = np.random.default_rng(12)
         psi = _centered(rng, 40, 6)
         mu = rng.standard_normal(6) / 10
         cfg = BootstrapConfig(B=500, seed=8)
-        results = run_min_bootstrap(mu, psi, cfg, [2, 3, 1])
-        for res, cols in zip(results, (slice(0, 2), slice(2, 5), slice(5, 6))):
-            [alone] = run_min_bootstrap(mu[cols], psi[:, cols], cfg)
-            assert res.t_obs == alone.t_obs == math.sqrt(40) * mu[cols].min()
-            np.testing.assert_allclose(res.draws, alone.draws, rtol=0, atol=1e-12)
-            assert res.p_value == alone.p_value
+        t_obs, draws, p = run_min_bootstrap(mu, psi, cfg, [2, 3, 1])
+        assert (t_obs.shape, draws.shape, p.shape) == ((3,), (500, 3), (3,))
+        for r, cols in enumerate((slice(0, 2), slice(2, 5), slice(5, 6))):
+            alone = run_min_bootstrap(mu[cols], psi[:, cols], cfg, [cols.stop - cols.start])
+            assert t_obs[r] == alone[0][0] == math.sqrt(40) * mu[cols].min()
+            np.testing.assert_allclose(draws[:, r], alone[1][:, 0], rtol=0, atol=1e-12)
+            assert p[r] == alone[2][0]
 
     @pytest.mark.parametrize("sizes", [[0, 3], [3, 0], [2, 0, 1], [1, 1], [2, 2],
                                        [], [-1, 4]])
@@ -154,29 +179,3 @@ class TestRunMinBootstrap:
         psi = _centered(rng, 20, 3)
         with pytest.raises(ContractError, match="segment sizes"):
             run_min_bootstrap(np.zeros(3), psi, BootstrapConfig(B=500, seed=1), sizes)
-
-
-class TestNormalQuantile:
-    def test_median(self):
-        assert normal_quantile(0.5) == 0.0
-
-    def test_known_value(self):
-        assert normal_quantile(0.975) == pytest.approx(1.95996398, abs=1e-8)
-
-    def test_symmetry(self):
-        for q in (0.01, 0.2, 0.37, 0.49, 0.6, 0.9, 0.999):
-            assert abs(normal_quantile(q) + normal_quantile(1 - q)) <= 1e-12
-
-    def test_accuracy_against_reference(self):
-        qs = np.concatenate([
-            [1e-12, 1e-10, 1e-8, 1e-6, 1e-4],
-            np.linspace(0.001, 0.999, 97),
-            [1 - 1e-4, 1 - 1e-6, 1 - 1e-8, 1 - 1e-10, 1 - 1e-12],
-        ])
-        for q in qs:
-            assert abs(normal_quantile(q) - norm.ppf(q)) <= 1e-12
-
-    def test_domain_rejected(self):
-        for bad in (0.0, 1.0, -0.5, 1.5):
-            with pytest.raises(ContractError):
-                normal_quantile(bad)

@@ -572,6 +572,19 @@ class TestCliSimulate:
         err = capsys.readouterr().err
         assert "(200, 200)" in err and "(400, 2000)" in err
 
+    def test_config_with_byte_order_mark_is_read(self, tmp_path):
+        # Editors that save UTF-8 with a BOM must not turn the first key into
+        # '\ufeffn'; the run matches the one on the same file without it.
+        body = "n = 40\nx_df = 3\nreps = 1\nseed = 9\n"
+        marked = tmp_path / "marked.cfg"
+        marked.write_text(body, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        for cfg, out in ((marked, "with_bom"), (self._cfg(tmp_path, body), "plain")):
+            assert main(["simulate", "case1", "--config", str(cfg),
+                         "--out", str(tmp_path / out)]) == 0
+        assert ((tmp_path / "with_bom" / "aggregate.json").read_bytes()
+                == (tmp_path / "plain" / "aggregate.json").read_bytes())
+
     def test_repeated_config_key_exit_2(self, tmp_path, capsys):
         cfg = self._cfg(tmp_path, "n = 40\nx_df = 3\nreps = 1\nseed = 5\nseed = 6\n")
         out = tmp_path / "sim"

@@ -16,9 +16,8 @@ from ranksel import (Candidate, ConfidenceSet, ContractError, Dataset, LossFn,
                      TieStreams, pair_stats, pcv_select, rsr_from_candidates,
                      rsr_from_panel, screen)
 from ranksel import bootstrap, select
-from ranksel.bootstrap import multiplier_min_bootstrap, p_value
+from ranksel.bootstrap import PSI_CENTERING_TOL, multiplier_min_bootstrap
 from ranksel.errors import LearnerError
-from ranksel.ranksum import PSI_CENTERING_TOL
 from ranksel.rng import model_key, subseed
 from ranksel.select import TAG_BOOT, TAG_RSR_TIES
 
@@ -60,32 +59,47 @@ class TestScreen:
         with pytest.raises(ContractError):
             screen(np.zeros(2), np.array([1.0, 0.0]), 3, 0.1, 0.01)
 
+    def test_quantile_level_outside_unit_interval_rejected(self):
+        # With two models the quantile level is 1 - alpha_screen.
+        for alpha_screen in (0.0, 1.0, -0.5, 1.5):
+            with pytest.raises(ContractError, match="quantile level"):
+                screen(np.zeros(1), np.ones(1), 2, alpha_screen, 0.01)
+
+
+def _risk_panel(risks):
+    """A panel of constant columns, whose mean losses are ``risks``."""
+    return _panel(np.tile(np.asarray(risks, dtype=float), (4, 1)))
+
 
 class TestCvSelect:
     def test_argmin(self):
-        cs = cv_select([3.0, 1.0, 2.0])
+        cs = cv_select(_risk_panel([3.0, 1.0, 2.0]), SelectionConfig(seed=1, alpha=0.2))
         assert cs.selected == (1,)
-        assert cs.method == "cv"
+        assert cs.selected_ids == ("c1",)
+        assert (cs.method, cs.alpha) == ("cv", 0.2)
+        assert cs.diagnostics == {1: {"risk": 1.0}}
 
     def test_tie_takes_first(self):
-        cs = cv_select([2.0, 2.0, 2.0])
+        cs = cv_select(_risk_panel([2.0, 2.0, 2.0]), SelectionConfig(seed=1))
         assert cs.selected == (0,)
 
     def test_invariant_under_monotone_transform_of_risks(self):
         rng = np.random.default_rng(0)
         risks = rng.random(6)
-        a = cv_select(risks).selected
-        b = cv_select(np.exp(risks)).selected
+        cfg = SelectionConfig(seed=1)
+        a = cv_select(_risk_panel(risks), cfg).selected
+        b = cv_select(_risk_panel(np.exp(risks)), cfg).selected
         assert a == b
 
     @pytest.mark.parametrize("alpha", (0.0, -0.1, 1.5))
     def test_alpha_outside_unit_interval_rejected(self, alpha):
         # The set is {m : p_m >= alpha}; alpha <= 0 would keep every model.
+        # cv_select reads alpha from the config, which refuses it.
         with pytest.raises(ContractError, match="alpha"):
-            cv_select([3.0, 1.0, 2.0], alpha=alpha)
+            cv_select(_risk_panel([3.0, 1.0, 2.0]), SelectionConfig(seed=1, alpha=alpha))
 
     def test_selected_is_read_off_the_p_values(self):
-        cs = cv_select([3.0, 1.0, 2.0])
+        cs = cv_select(_risk_panel([3.0, 1.0, 2.0]), SelectionConfig(seed=1))
         fields = {f.name for f in dataclasses.fields(cs)}
         assert "selected" not in fields
         with pytest.raises(TypeError):
@@ -587,9 +601,9 @@ class TestBlockedBootstrap:
 
         def recording(mu, psi, boot, sizes):
             widths.append(mu.size)
-            out = real(mu, psi, boot, sizes)
-            results.extend(out)
-            return out
+            t_obs, draws, p = real(mu, psi, boot, sizes)
+            results.extend(zip(t_obs, draws.T, p))
+            return t_obs, draws, p
 
         for method in METHODS:
             results.clear()
@@ -606,13 +620,13 @@ class TestBlockedBootstrap:
                 if ev.decided is not None:
                     assert cs.p_values[m] == ev.decided[0]
                     continue
-                got = next(blocked)
+                got_t_obs, got_draws, got_p = next(blocked)
                 draws = multiplier_min_bootstrap(ev.psi, cfg.bootstrap)
                 t_obs = math.sqrt(panel.n) * ev.mu.min()
                 # BLAS may round a column differently inside a wider product
-                np.testing.assert_allclose(got.draws, draws, rtol=0, atol=1e-12)
-                assert got.t_obs == cs.diagnostics[m]["t_obs"] == t_obs
-                assert got.p_value == cs.p_values[m] == p_value(t_obs, draws)
+                np.testing.assert_allclose(got_draws, draws, rtol=0, atol=1e-12)
+                assert got_t_obs == cs.diagnostics[m]["t_obs"] == t_obs
+                assert got_p == cs.p_values[m] == np.count_nonzero(draws < t_obs) / cfg.B
             assert next(blocked, None) is None
 
     def test_peak_memory_is_bounded_by_the_block_cap(self):

@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from ranksel import simlab
 from ranksel import (Candidate, Case1Config, Case2Config, ConfigError, Dataset,
                      FittedLinear, LossFn, adaptive_tau, enumerate_subsets,
                      fit_huber_adaptive, keyed_stream, make_folds, panel_from_folds,
@@ -245,12 +248,27 @@ class TestCase2:
         assert a.to_json() == b.to_json()
 
     def test_chosen_lambda_is_largest_in_set(self):
-        cfg = self._small_cfg(seed=4, methods=("rsr",))
-        rows = case2_replicate(cfg, 0)
-        assert rows[0]["method"] == "rsr"
-        # decreasing path: the reported lambda cannot be below any other
-        # selected one, so its index is minimal among the set
-        assert rows[0]["chosen_index"] >= 0
+        # Decreasing path: the reported lambda is the largest selected one, so
+        # its index is the smallest in the set (the likeliest one when the
+        # set is empty).
+        real = simlab._select
+        largest_set = 0
+        for seed in (4, 5, 6):
+            sets = {}
+
+            def recording(method, panel, sel_cfg):
+                sets[method] = real(method, panel, sel_cfg)
+                return sets[method]
+
+            with mock.patch.object(simlab, "_select", recording):
+                rows = case2_replicate(self._small_cfg(seed=seed), 0)
+            assert [row["method"] for row in rows] == list(simlab.ALL_METHODS)
+            for row in rows:
+                cs = sets[row["method"]]
+                want = min(cs.selected) if cs.selected else int(np.argmax(cs.p_values))
+                assert row["chosen_index"] == want
+                largest_set = max(largest_set, cs.set_size)
+        assert largest_set > 1
 
     def test_bad_rho_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,6 +1,7 @@
 """Checks on the source and the README rather than on results: no module of
-the package imports a name it never uses, and the README's quick tour and
-learner list name only what the package exports."""
+the package imports a name it never uses or defines a private name that no
+module reads, and the README's quick tour and learner list name only what
+the package exports."""
 
 import ast
 import re
@@ -46,6 +47,45 @@ def test_the_check_finds_an_unused_name_and_honours_the_mark():
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``module._name`` of each module-level private function, class or
+    assignment in ``sources`` (module name -> source) that no source reads
+    as a name, an attribute or an imported name."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(f"{module}.{name}" for module, name in defined if name not in read)
+
+
+def test_the_private_name_check_finds_an_orphan():
+    sources = {"a": "_LIMIT = 3\n_ORPHAN = 4\ndef _orphan():\n    return _LIMIT\n"
+                    "class _Used:\n    pass\n",
+               "b": "from . import a\nfrom .a import _Used\nprint(a._orphan)\n"}
+    assert unread_private_names(sources) == ["a._ORPHAN"]
+
+
+def test_every_private_name_is_read():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert unread_private_names(sources) == []
 
 
 def _readme() -> str:
