@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -31,27 +32,16 @@ def write_json(path, obj) -> None:
                           encoding="utf-8")
 
 
-def write_loss_panel_csv(path, panel: LossPanel) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([PANEL_PREFIX + mid for mid in panel.model_ids])
-        for row in panel.losses:
-            writer.writerow([format_float(v) for v in row])
-
-
-def _parse_cell(raw: str, line_no: int, col_name: str) -> float:
-    try:
-        val = float(raw)
-    except ValueError:
-        raise DataError(
-            f"line {line_no}: column '{col_name}' is not numeric ({raw!r})"
-        ) from None
-    if not math.isfinite(val):
-        raise DataError(f"line {line_no}: column '{col_name}' is not finite ({raw!r})")
-    return val
-
-
 def _read_csv_rows(path):
+    """A CSV file's stripped header and its body.
+
+    The body is one float array when NumPy's C parser, which reads a cell
+    with ``float()``'s routine for ASCII text, finds one finite value per
+    header field in every record. Otherwise it is the (line number,
+    fields) records that ``csv.reader`` splits, each numbered by the line
+    it ends on, for ``_parse_rows`` to convert: cells that only ``float()``
+    reads (``1_0``, Unicode digits) and bad cells take that path.
+    """
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
@@ -59,42 +49,54 @@ def _read_csv_rows(path):
     with fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise DataError(f"{path} is empty") from None
-        header = [h.strip() for h in header]
+        try:
+            # A header-only body warns; as an error it takes the path below.
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                body = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
+                                  dtype=float, ndmin=2)
+            if body.shape[1] == len(header) and np.isfinite(body).all():
+                return header, body
+        except (ValueError, UserWarning):
+            pass
+        fh.seek(0)
+        reader = csv.reader(fh)
+        next(reader)
         rows = []
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
             if len(row) != len(header):
                 raise DataError(
-                    f"line {line_no}: expected {len(header)} fields, got {len(row)}"
+                    f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
                 )
-            rows.append((line_no, row))
+            rows.append((reader.line_num, row))
     return header, rows
 
 
-def _parse_rows(rows, header, cols) -> np.ndarray:
-    """Columns ``cols`` of the rows as a C-ordered float array.
+def _parse_rows(rows, header, order) -> np.ndarray:
+    """The body from ``_read_csv_rows`` as a (rows, len(header)) array.
 
-    NumPy converts every cell in one call, parsing each string as
-    ``float()`` does. A bad cell raises the DataError of ``_parse_cell``
-    for the first bad cell in row order; the per-cell loop runs only when
-    one exists.
+    Records are converted row by row, each row's cells in ``order``, so
+    the DataError names the first bad cell in that order.
     """
-    try:
-        values = np.array([row for _, row in rows], dtype=float)
-        # reshape: a header-only file gives shape (0,); take keeps C order.
-        out = values.reshape(len(rows), len(header)).take(cols, axis=1)
-        if np.isfinite(out).all():
-            return out
-    except ValueError:
-        pass
-    out = np.empty((len(rows), len(cols)))
+    if isinstance(rows, np.ndarray):
+        return rows
+    out = np.empty((len(rows), len(header)))
     for i, (line_no, row) in enumerate(rows):
-        for k, j in enumerate(cols):
-            out[i, k] = _parse_cell(row[j].strip(), line_no, header[j])
+        for j in order:
+            raw = row[j].strip()
+            try:
+                out[i, j] = float(raw)
+            except ValueError:
+                raise DataError(f"line {line_no}: column '{header[j]}' is not "
+                                f"numeric ({raw!r})") from None
+            if not math.isfinite(out[i, j]):
+                raise DataError(f"line {line_no}: column '{header[j]}' is not "
+                                f"finite ({raw!r})")
     return out
 
 
@@ -142,8 +144,8 @@ def read_xy_csv(path, response: str):
         raise DataError(f"{path} has {len(rows)} data row(s); need at least 2")
     # The response leads, so a bad row reports its response cell first.
     values = _parse_rows(rows, header, [y_col, *feat_cols])
-    x = np.ascontiguousarray(values[:, 1:])
-    y = values[:, 0].copy()
+    x = values.take(feat_cols, axis=1)   # take, not [:, cols]: x stays C-ordered
+    y = values[:, y_col].copy()
     return x, y, [header[j] for j in feat_cols]
 
 

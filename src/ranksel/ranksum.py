@@ -107,8 +107,8 @@ class PairStats:
     """Rank-sum comparisons of one reference model against its competitors.
 
     Arrays are aligned with ``competitors`` (model indices j != reference).
-    ``psi`` holds mean-zero per-observation projection scores, one column
-    per competitor, used as bootstrap scores.
+    ``psi`` holds mean-zero per-observation projection scores, used as
+    bootstrap scores: column-major, one contiguous column per competitor.
     """
 
     reference: int
@@ -116,7 +116,7 @@ class PairStats:
     u: np.ndarray               # (p,) in [0, 1]
     mu: np.ndarray              # (p,) = u - 0.5
     se: np.ndarray              # (p,) > 0
-    psi: np.ndarray             # (n, p)
+    psi: np.ndarray             # (n, p), column-major
 
 
 def _pair_panel(a, b, min_n: int) -> LossPanel:
@@ -296,6 +296,8 @@ def pair_stats(panel: LossPanel, m: int, ties: TieStreams | None = None) -> Pair
     All competitors are counted in one pass over (p, n) arrays; every sum
     then runs along one competitor's contiguous row, the same 1-D sum as
     for a single pair, so results do not depend on M or column order.
+    The scores are built in those rows, so ``psi`` is the column-major
+    (n, p) transpose of a C-ordered (p, n) array.
     """
     n = panel.n
     if n < 4:
@@ -310,9 +312,9 @@ def pair_stats(panel: LossPanel, m: int, ties: TieStreams | None = None) -> Pair
     # Counts are integers below 2**53, so every sum here is exact.
     u = row.sum(axis=1) / (n * n)
     mu = u - 0.5
+    # Scores in place, in the order of (row + col) / n - 1.0 - 2.0 * mu.
     row += col
-    # (n, p) scores in place, in the order of (row + col) / n - 1.0 - 2.0 * mu.
-    psi = np.divide(row.T, n, out=np.empty((n, competitors.size)))
-    psi -= 1.0
-    psi -= 2.0 * mu
-    return PairStats(reference=m, competitors=competitors, u=u, mu=mu, se=se, psi=psi)
+    row /= n
+    row -= 1.0
+    row -= (2.0 * mu)[:, None]
+    return PairStats(reference=m, competitors=competitors, u=u, mu=mu, se=se, psi=row.T)

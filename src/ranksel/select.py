@@ -58,7 +58,9 @@ TAG_BOOT = 103
 _DEGENERATE_SD = 1e-12
 
 # Byte cap on one bootstrap call's psi block and on its product with the
-# multipliers; a block still holds at least one reference's columns. At
+# multipliers; a block still holds at least one reference's columns. It is
+# column-major, so a reference's columns go in as one contiguous copy (the
+# gemm gives the same bytes for either layout; tests/test_bootstrap.py). At
 # n = 1000 and B = 500, one OpenBLAS thread on a Xeon VM ran the gemm at
 # about 50 GFLOP/s on 131-column (1 MiB) blocks and 63 on 262 columns;
 # 4 MiB was faster again but raised peak memory by about 12%.
@@ -193,7 +195,7 @@ def _select_loop(panel: LossPanel, config: SelectionConfig, method: str,
     width = max(_BLOCK_BYTES // (8 * max(panel.n, config.B)), n_models - 1)
     width = min(width, n_models * (n_models - 1))
     mu_block = np.empty(width)
-    psi_block = np.empty((panel.n, width))
+    psi_block = np.empty((panel.n, width), order="F")
     refs: list[int] = []
     sizes: list[int] = []
 

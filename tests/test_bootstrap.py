@@ -179,3 +179,19 @@ class TestRunMinBootstrap:
         psi = _centered(rng, 20, 3)
         with pytest.raises(ContractError, match="segment sizes"):
             run_min_bootstrap(np.zeros(3), psi, BootstrapConfig(B=500, seed=1), sizes)
+
+    @pytest.mark.parametrize("width", [9, 45, 262])
+    def test_column_major_block_gives_the_same_bytes(self, width):
+        # select bootstraps a column-major psi block; the gemm must read it
+        # to the same bits as a C-ordered copy at every block width.
+        rng = np.random.default_rng(width)
+        n = 1000
+        psi = _centered(rng, n, width)
+        mu = rng.standard_normal(width) / math.sqrt(n)
+        sizes = [49] * (width // 49) + [width % 49] * (width % 49 > 0)
+        cfg = BootstrapConfig(B=500, seed=9)
+        c_run = run_min_bootstrap(mu, np.ascontiguousarray(psi), cfg, sizes)
+        f_run = run_min_bootstrap(mu, np.asfortranarray(psi), cfg, sizes)
+        for c_out, f_out in zip(c_run, f_run):
+            assert c_out.tobytes() == f_out.tobytes()
+        assert 0.0 < c_run[2].max()

@@ -1,19 +1,29 @@
 import csv
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ranksel import LossPanel, SelectionConfig, rsr_from_panel
 from ranksel.cli import main
 from ranksel.errors import ConfigError, DataError
-from ranksel.io import (RunConfig, parse_config_file, read_loss_panel_csv,
-                        read_xy_csv, write_loss_panel_csv)
+from ranksel.io import (PANEL_PREFIX, RunConfig, format_float, parse_config_file,
+                        read_loss_panel_csv, read_xy_csv)
 
 
 # Every selection flag shared by `select` and `panel`, each off its default.
 NON_DEFAULT_FLAGS = ["--alpha-screen", "0.3", "--s", "0.5", "--B", "200",
                      "--no-screening"]
+
+
+def write_loss_panel_csv(path, panel: LossPanel) -> None:
+    """The CSV that read_loss_panel_csv reads back bit for bit."""
+    _write_csv(path, [PANEL_PREFIX + mid for mid in panel.model_ids],
+               [[format_float(v) for v in row] for row in panel.losses])
 
 
 def _write_csv(path, header, rows, encoding="utf-8"):
@@ -91,6 +101,15 @@ class TestPanelCsvRoundTrip:
         with pytest.raises(DataError, match="line 3"):
             read_loss_panel_csv(path)
 
+    def test_bad_cell_names_its_physical_line(self, tmp_path):
+        # The quoted first cell spans lines 2-3, so 'oops' sits on line 5,
+        # although it is the file's fourth record.
+        path = tmp_path / "multiline.csv"
+        path.write_text('model_a,model_b\n"1.0\n",2.0\n3.0,4.0\n5.0,oops\n')
+        with pytest.raises(DataError) as info:
+            read_loss_panel_csv(path)
+        assert str(info.value) == "line 5: column 'model_b' is not numeric ('oops')"
+
     def test_single_column_usage_error(self, tmp_path):
         path = tmp_path / "one.csv"
         _write_csv(path, ["model_a"], [[1.0], [2.0]])
@@ -161,6 +180,112 @@ class TestCellConversion:
         with pytest.raises(DataError) as info:
             read_xy_csv(path, "y")
         assert str(info.value) == f"{path} has 0 data row(s); need at least 2"
+
+
+def _read_panel_oracle(path) -> np.ndarray:
+    """read_loss_panel_csv spelled out: csv.reader splits the records, and
+    float() reads each cell, row by row and left to right."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataError(f"line {reader.line_num}: expected {len(header)} "
+                                f"fields, got {len(row)}")
+            rows.append((reader.line_num, row))
+    if len(header) < 2:
+        raise ConfigError(f"{path} has {len(header)} column(s); a loss panel "
+                          f"needs at least 2")
+    values = []
+    for line_no, row in rows:
+        for name, raw in zip(header, row):
+            raw = raw.strip()
+            try:
+                val = float(raw)
+            except ValueError:
+                raise DataError(f"line {line_no}: column '{name}' is not numeric "
+                                f"({raw!r})") from None
+            if not math.isfinite(val):
+                raise DataError(f"line {line_no}: column '{name}' is not finite "
+                                f"({raw!r})")
+            values.append(val)
+    if len(rows) < 4:
+        raise DataError(f"{path} has {len(rows)} data row(s); need at least 4")
+    return np.array(values).reshape(len(rows), len(header))
+
+
+def _outcome(read, path):
+    """("ok", array bytes, shape) or (error type, message)."""
+    try:
+        values = read(path)
+    except (ConfigError, DataError) as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", values.tobytes(), values.shape
+
+
+_CELL_TOKENS = [*"0123456789+-.e_\u0661 \t", "nan", "inf"]
+_LINE_ENDS = ["\n", "\r\n"]
+_number = st.floats(width=64).flatmap(
+    lambda v: st.sampled_from([format(v, ".17g"), repr(v)]))
+# Cells float() reads and NumPy's C parser refuses.
+_float_only = st.sampled_from(["1_0", "2_5e-1", "\u0661", "\u0662.\u0665"])
+_token_cell = st.lists(st.sampled_from(_CELL_TOKENS), max_size=6).map("".join)
+# A quoted cell may hold commas, quotes (doubled) and line ends.
+_quoted_cell = st.lists(st.sampled_from([*_CELL_TOKENS, ",", '""', *_LINE_ENDS]),
+                        max_size=6).map(lambda parts: '"' + "".join(parts) + '"')
+_cell = st.one_of(_number, _float_only, _token_cell, _quoted_cell)
+_junk = st.lists(st.sampled_from([*_CELL_TOKENS, '"', ",", *_LINE_ENDS]),
+                 max_size=12).map("".join)
+
+
+@st.composite
+def _panel_csv_text(draw) -> str:
+    """A header of 1-3 model columns and up to 7 records: mostly numbers,
+    some arbitrary cells, the odd stretch of junk, and mixed line ends.
+    The records are now and then one width that differs from the header's."""
+    line_end = st.sampled_from(_LINE_ENDS)
+    width = draw(st.integers(1, 3))
+    parts = [",".join(f"model_{c}" for c in "abc"[:width]) + draw(line_end)]
+    width = draw(st.sampled_from([width] * 4 + [1, 2, 3]))
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.integers(0, 9))
+        if kind == 9:
+            parts.append(draw(_junk))
+            continue
+        cell = _number if kind < 6 else st.one_of(_number, _cell)
+        cells = draw(st.lists(cell, min_size=width, max_size=width))
+        parts.append(",".join(cells) + draw(line_end))
+    return "".join(parts)
+
+
+class TestCsvReader:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=_panel_csv_text())
+    def test_reads_as_csv_reader_and_float_do(self, tmp_path, text):
+        path = tmp_path / "panel.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        got = _outcome(lambda p: read_loss_panel_csv(p).losses, path)
+        assert got == _outcome(_read_panel_oracle, path)
+
+    def test_peak_memory_stays_near_the_array(self, tmp_path):
+        rng = np.random.default_rng(5)
+        losses = np.abs(rng.standard_cauchy((20_000, 10)))
+        path = tmp_path / "tall.csv"
+        write_loss_panel_csv(path, LossPanel(losses, tuple(f"m{j}" for j in range(10))))
+        tracemalloc.start()
+        try:
+            panel = read_loss_panel_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(panel.losses, losses)
+        # Holding the cells as strings first would cost about 14x the array.
+        assert peak < 2 * losses.nbytes + (256 << 10)
 
 
 class TestReadXy:

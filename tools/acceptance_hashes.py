@@ -58,8 +58,8 @@ from ranksel import (LossPanel, SelectionConfig, cvc_style_select,  # noqa: E402
                      pcv_select, run_case1, run_case2, simlab)
 from ranksel.cli import _case_config  # noqa: E402
 from ranksel.cli import main as ranksel_main  # noqa: E402
-from ranksel.io import (parse_config_file, read_loss_panel_csv,  # noqa: E402
-                        write_loss_panel_csv)
+from ranksel.io import parse_config_file, read_loss_panel_csv  # noqa: E402
+from test_cli import write_loss_panel_csv  # noqa: E402
 
 AGGREGATES = (
     ("crit2", lambda: acc._crit2_aggregate(threads=2)),
