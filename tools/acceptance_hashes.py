@@ -16,9 +16,9 @@ case1`` at n = 40 with 3 replicates and of ``simulate case2`` at (200, 200)
 with 1 replicate (the Huber-lasso path solver; about ten seconds). The runs
 work in a fresh temporary directory through relative paths, so the input
 paths that ``report.json`` echoes are the same on every run. The CLI does
-not run PCV or CVC, so ``pcv_cont``, ``pcv_ties``, ``cvc_cont`` and
-``cvc_ties`` hash the sorted-key JSON of ``pcv_select(...).to_dict()`` and
-``cvc_style_select(...).to_dict()`` on the same two panels at seed 7.
+not run PCV or CVC, so ``pcv_<panel>`` and ``cvc_<panel>`` hash the
+sorted-key JSON of ``pcv_select(...).to_dict()`` and
+``cvc_style_select(...).to_dict()`` on the same four panels at seed 7.
 ``case1_n40_sets`` hashes, in order, the sorted-key JSON of every method's
 ``ConfidenceSet.to_dict()`` in the replicates of ``case1.cfg``: a moved
 p-value shows there even when the study's set sizes, and so its files, do not.
@@ -171,7 +171,7 @@ def cli_hashes():
                 for file in files:
                     yield f"{name}/{file}", _digest(Path(name, file).read_bytes())
             for name, method in (("pcv", pcv_select), ("cvc", cvc_style_select)):
-                for panel in ("cont", "ties"):
+                for panel in ("cont", "ties", "mixed", "wide"):
                     cs = method(read_loss_panel_csv(f"{panel}.csv"), SelectionConfig(seed=7))
                     yield f"{name}_{panel}", _digest(
                         json.dumps(cs.to_dict(), sort_keys=True).encode("utf-8"))
