@@ -14,9 +14,12 @@ the same scale. p-values count draws strictly below the observed value.
 The multipliers do not depend on psi, so one (B, n) block can serve many
 tests: a ``BootstrapConfig`` draws its block on first use and hands the
 same block to every later bootstrap run with it. Each p-value stays
-marginally valid. ``run_min_bootstrap``, where draws become p-values, takes
-many tests at once: their psi columns side by side in one block, with the
-number of columns each owns, so one product serves them all.
+marginally valid. ``run_min_bootstrap`` takes many tests at once: their psi
+columns side by side in one block, each column scoring one test as it is
+and another negated (an antisymmetric pair's two directions), so one
+product serves them all. It folds the block's draws into running minima,
+one row per test, so a test's columns may arrive over several blocks;
+``p_values`` turns the minima into p-values.
 """
 
 from __future__ import annotations
@@ -116,27 +119,76 @@ def multiplier_min_bootstrap(psi, config: BootstrapConfig) -> np.ndarray:
     return _checked_product(psi, config).min(axis=1) / math.sqrt(np.shape(psi)[0])
 
 
-def run_min_bootstrap(mu, psi, config: BootstrapConfig, sizes):
-    """Observed statistic, draws and p-value of each test, as arrays.
+def run_min_bootstrap(draws, psi, config: BootstrapConfig, segments):
+    """Fold one block of score columns into the tests' running minima.
 
-    The columns of mu and psi are laid out test by test, ``sizes[r]`` of
-    them for test r; the block is checked and multiplied by the multipliers
-    once. Returns ``(t_obs, draws, p_values)`` of shapes (R,), (B, R) and
-    (R,): test r's sqrt(n) * min(mu) over its columns, its draws (the row
-    minima over those columns, as ``multiplier_min_bootstrap`` gives them on
-    those columns alone but for BLAS rounding in the wider product), and
-    the share of its draws strictly below its t_obs.
+    ``draws`` is a float (R, B) array whose row r holds test r's running
+    minimum over the draws of its columns so far; start it at +inf. The
+    columns of psi come in ``segments``, one ``(plus, minus)`` pair of
+    index arrays per run of ``len(plus)`` columns: column i of the run
+    scores test ``plus[i]`` as it is and test ``minus[i]`` with its sign
+    flipped, where -1 names no test. A run's ``plus`` names at most one
+    test and its ``minus`` each test at most once. The block is checked
+    and multiplied by the multipliers once; each column's draws are
+    (multipliers @ psi[:, c]) / sqrt(n), as ``multiplier_min_bootstrap``
+    gives them on that column alone but for BLAS rounding in the wider
+    product. Updates and returns ``draws``.
     """
-    mu = np.asarray(mu, dtype=float)
     psi = np.asarray(psi, dtype=float)
-    if mu.ndim != 1 or psi.ndim != 2 or psi.shape[1] != mu.size:
-        raise ContractError("mu and psi shapes are inconsistent")
-    sizes = np.array(sizes, dtype=int)
-    if sizes.ndim != 1 or sizes.size == 0 or sizes.min() < 1 or sizes.sum() != mu.size:
-        raise ContractError(
-            f"segment sizes {sizes.tolist()} must be positive and sum to {mu.size}")
-    starts = np.concatenate([[0], np.cumsum(sizes[:-1])])
+    if psi.ndim != 2 or draws.shape[1:] != (config.B,):
+        raise ContractError(f"psi must be a matrix and draws have {config.B} columns")
+    tests = draws.shape[0]
+    runs = [tuple(np.asarray(side, dtype=np.intp).reshape(-1) for side in run)
+            for run in segments]
+    sizes = [plus.size for plus, _ in runs]
+    run_of = np.repeat(np.arange(len(runs)), sizes)
+    plus, minus = (np.concatenate([run[k] for run in runs] or [np.empty(0, np.intp)])
+                   for k in (0, 1))
+    own, named = plus >= 0, minus >= 0
+    if (plus.size != psi.shape[1] or minus.size != plus.size
+            or min(plus.min(initial=0), minus.min(initial=0)) < -1
+            or max(plus.max(initial=-1), minus.max(initial=-1)) >= tests
+            or np.unique(run_of[own] * tests + plus[own]).size
+            != np.unique(run_of[own]).size
+            or np.unique(run_of[named] * tests + minus[named]).size < minus[named].size):
+        raise ContractError(f"segments must cover the block's {psi.shape[1]} columns, "
+                            f"each run naming one plus test and distinct minus tests "
+                            f"among {tests}")
+    product = _checked_product(psi, config)
     root_n = math.sqrt(psi.shape[0])
-    t_obs = root_n * np.minimum.reduceat(mu, starts)
-    draws = np.minimum.reduceat(_checked_product(psi, config), starts, axis=1) / root_n
-    return t_obs, draws, np.count_nonzero(draws < t_obs, axis=0) / draws.shape[0]
+    start = 0
+    for plus, minus in runs:
+        # One contiguous row of negated draws per column, so every update
+        # below runs along rows. Scaling before the minimum gives the same
+        # bits, and x / -r is -(x / r).
+        rows = np.divide(product[:, start:start + plus.size].T, -root_n, order="C")
+        start += plus.size
+        own, named = plus >= 0, minus >= 0
+        if own.any():
+            test = plus[own][0]
+            top = rows.max(axis=0, where=own[:, None], initial=-np.inf)
+            np.minimum(draws[test], -top, out=draws[test])
+        cols = np.flatnonzero(named)
+        if cols.size == 0:
+            continue
+        shift = minus[cols[0]] - cols[0]
+        if np.all(minus[cols] - cols == shift):
+            # Column i scores test shift + i: update one slice in place,
+            # with +inf for the columns in it that score no test.
+            rows = rows[cols[0]:cols[-1] + 1]
+            rows[~named[cols[0]:cols[-1] + 1]] = np.inf
+            low = draws[shift + cols[0]:shift + cols[-1] + 1]
+        else:
+            rows = rows[cols]
+            low = draws[minus[cols]]
+        np.minimum(low, rows, out=low)
+        if not np.shares_memory(low, draws):
+            draws[minus[cols]] = low
+    return draws
+
+
+def p_values(t_obs, draws) -> np.ndarray:
+    """Share of each test's draws (one row per test) strictly below its t_obs."""
+    draws = np.asarray(draws, dtype=float)
+    return np.count_nonzero(draws < np.asarray(t_obs, dtype=float)[:, None], axis=1) \
+        / draws.shape[1]

@@ -10,10 +10,13 @@ compares every ordered pair of evaluation points, including k = l. Exact
 ties are resolved by an independent fair coin per tied pair. Centered
 values mu = u - 1/2, per-observation projection scores, and standard
 errors feed the Gaussian multiplier bootstrap in :mod:`ranksel.bootstrap`.
+Without a tied cell the kernel is antisymmetric: u_jm = 1 - u_mj, the
+standard errors agree and psi_jm = -psi_mj, so one count serves both
+directions (``PairStats.mirror``).
 
 Cost: a panel ranks all of its nM losses together once (dense ranks, so
-equal losses share a rank). One reference's counts against all p = M - 1
-competitors then come from one pass over (p, n) integer arrays: the
+equal losses share a rank). One reference's counts against p competitors
+then come from one pass over (p, n) integer arrays: the
 reference's cumulative count over the d distinct ranks (one ``np.repeat``
 of 0..n over the gaps between its sorted ranks), gathered at the
 competitors' ranks, and one per-competitor ``bincount`` + ``cumsum``. When
@@ -109,6 +112,9 @@ class PairStats:
     Arrays are aligned with ``competitors`` (model indices j != reference).
     ``psi`` holds mean-zero per-observation projection scores, used as
     bootstrap scores: column-major, one contiguous column per competitor.
+    ``wins`` are the reference's win totals n^2 u, exact integers; ``tied``
+    marks the pairs with a tied cell, whose coins make each direction its
+    own count.
     """
 
     reference: int
@@ -117,6 +123,20 @@ class PairStats:
     mu: np.ndarray              # (p,) = u - 0.5
     se: np.ndarray              # (p,) > 0
     psi: np.ndarray             # (n, p), column-major
+    wins: np.ndarray            # (p,) = n^2 u
+    tied: np.ndarray            # (p,) bool
+
+    def mirror(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each competitor's (u, mu) against the reference, from these counts.
+
+        Exact for a pair without a tied cell, whose reverse win total is
+        n^2 - wins: the same bits as counting that direction, whose se is
+        this se and whose psi is -psi up to rounding. A tied pair's reverse
+        draws its own coins, so it has to be counted.
+        """
+        n2 = self.psi.shape[0] ** 2
+        u = (n2 - self.wins) / n2
+        return u, u - 0.5
 
 
 def _pair_panel(a, b, min_n: int) -> LossPanel:
@@ -141,20 +161,22 @@ def _at_or_below(counts: np.ndarray, own: np.ndarray) -> np.ndarray:
     return np.take(cum.cumsum(axis=1, dtype=counts.dtype), own, axis=1)
 
 
-def _reference_counts(panel: LossPanel, m: int, stream=None):
-    """Win counts of reference column a = m against every other column b.
+def _reference_counts(panel: LossPanel, m: int, stream=None, competitors=None):
+    """Win counts of reference column a = m against competitor columns b.
 
+    ``competitors`` defaults to every other column, in increasing order.
     Returns the competitors; row[j, k] = #{l : a_k beats b_l} in a's index
     order and col[j, l] = #{k : a_k beats b_l} in b's, as (p, n) floats,
-    one row per competitor; and each pair's standard error. An exact tie
-    is settled by a fair coin from the Generator that ``stream(j)``
-    returns; it is called only for a competitor with a tied cell, in
-    increasing j. With ``stream=None`` a tie counts for neither side (the
-    standard errors never depend on coins).
+    one row per competitor; each pair's standard error; and whether it has
+    a tied cell. An exact tie is settled by a fair coin from the Generator
+    that ``stream(j)`` returns; it is called only for a competitor with a
+    tied cell, in competitor order. With ``stream=None`` a tie counts for
+    neither side (the standard errors never depend on coins).
     """
     n = panel.n
     ranks, d = panel._ranks
-    competitors = np.delete(np.arange(panel.n_models), m)
+    if competitors is None:
+        competitors = np.delete(np.arange(panel.n_models), m)
     # below[r] = #{k : rank(a_k) < r}, so below[r_b] counts the a below b
     # and below[r_b + 1] those at or below it. With s = a's sorted ranks,
     # s[-1] = -1 and s[n] = d, below is i on the ranks s[i-1] + 1 .. s[i].
@@ -169,19 +191,19 @@ def _reference_counts(panel: LossPanel, m: int, stream=None):
     # b_l <= a_k iff col[l] <= own[k]; b_l < a_k iff right[l] <= own[k].
     hi = _at_or_below(col, own)
     se = _se_from_counts(hi, right, n)
-    tied = ()
-    if stream is not None and right is not col:
-        tied = np.flatnonzero((col != right).any(axis=1))
+    tied = np.zeros(len(competitors), dtype=bool)
+    if right is not col:
+        tied = (col != right).any(axis=1)
     row = np.subtract(n, hi, dtype=float)
     col = col.astype(float)
-    for idx in tied:
+    for idx in np.flatnonzero(tied) if stream is not None else ():
         lo = _at_or_below(right[idx:idx + 1], own)[0]
         order = panel._orders[competitors[idx]]
         col_sorted = col[idx, order]
         _add_tie_wins(row[idx], col_sorted, lo.astype(np.intp), hi[idx].astype(np.intp),
                       stream(competitors[idx]))
         col[idx, order] = col_sorted
-    return competitors, row, col, se
+    return competitors, row, col, se, tied
 
 
 def _add_tie_wins(row, col_sorted, lo, hi, gen: np.random.Generator) -> None:
@@ -261,7 +283,7 @@ def ranksum_u(a, b, ties: np.random.Generator | None = None) -> float:
     panel = _pair_panel(a, b, min_n=2)
     # Without a stream, a fixed one keeps the call reproducible.
     stream = (lambda j: keyed_stream(0)) if ties is None else (lambda j: ties)
-    _, row, _, _ = _reference_counts(panel, 0, stream)
+    _, row, _, _, _ = _reference_counts(panel, 0, stream)
     return float(row[0].sum() / (panel.n * panel.n))
 
 
@@ -274,15 +296,18 @@ def se_ranksum(a, b) -> float:
     screening z-scores finite when the two samples are co-monotone.
     """
     panel = _pair_panel(a, b, min_n=4)
-    _, _, _, se = _reference_counts(panel, 0)
+    _, _, _, se, _ = _reference_counts(panel, 0)
     return float(se[0])
 
 
-def pair_stats(panel: LossPanel, m: int, ties: TieStreams | None = None) -> PairStats:
-    """Rank-sum statistics of reference model m against every competitor.
+def pair_stats(panel: LossPanel, m: int, ties: TieStreams | None = None,
+               competitors=None) -> PairStats:
+    """Rank-sum statistics of reference model m against its competitors.
 
-    The bootstrap score of each competitor j is the full two-part
-    projection of the rank-sum kernel xi(k, l) = 1{a_k < b_l}:
+    ``competitors`` (model indices other than m) defaults to every other
+    model, in increasing order. The bootstrap score of each competitor j
+    is the full two-part projection of the rank-sum kernel xi(k, l) =
+    1{a_k < b_l}:
 
         psi_k = (1/n) sum_l xi(k, l) + (1/n) sum_i xi(i, k) - 1 - 2 mu,
 
@@ -295,26 +320,35 @@ def pair_stats(panel: LossPanel, m: int, ties: TieStreams | None = None) -> Pair
 
     All competitors are counted in one pass over (p, n) arrays; every sum
     then runs along one competitor's contiguous row, the same 1-D sum as
-    for a single pair, so results do not depend on M or column order.
-    The scores are built in those rows, so ``psi`` is the column-major
-    (n, p) transpose of a C-ordered (p, n) array.
+    for a single pair, so results do not depend on which other competitors
+    are counted, or in what order. The scores are built in those rows, so
+    ``psi`` is the column-major (n, p) transpose of a C-ordered (p, n)
+    array.
     """
     n = panel.n
     if n < 4:
         raise ContractError("pair_stats needs n >= 4 evaluation points")
     if not 0 <= m < panel.n_models:
         raise ContractError(f"reference index {m} out of range")
+    if competitors is not None:
+        competitors = np.asarray(competitors, dtype=np.intp)
+        if competitors.ndim != 1 or np.any((competitors < 0)
+                                           | (competitors >= panel.n_models)
+                                           | (competitors == m)):
+            raise ContractError(f"competitors of {m} must be other models' indices")
     if ties is None:
         ties = TieStreams(0)
     ids = panel.model_ids
-    competitors, row, col, se = _reference_counts(
-        panel, m, lambda j: ties.pair(ids[m], ids[j]))
+    competitors, row, col, se, tied = _reference_counts(
+        panel, m, lambda j: ties.pair(ids[m], ids[j]), competitors)
     # Counts are integers below 2**53, so every sum here is exact.
-    u = row.sum(axis=1) / (n * n)
+    wins = row.sum(axis=1)
+    u = wins / (n * n)
     mu = u - 0.5
     # Scores in place, in the order of (row + col) / n - 1.0 - 2.0 * mu.
     row += col
     row /= n
     row -= 1.0
     row -= (2.0 * mu)[:, None]
-    return PairStats(reference=m, competitors=competitors, u=u, mu=mu, se=se, psi=row.T)
+    return PairStats(reference=m, competitors=competitors, u=u, mu=mu, se=se, psi=row.T,
+                     wins=wins, tied=tied)

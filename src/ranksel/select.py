@@ -1,19 +1,26 @@
 """Confidence-set model selection from loss panels.
 
-The three confidence-set methods differ only in their evidence. For each
-reference model m, an evidence function returns centered contrasts ``mu``
-against the competitors (positive favors m) with their per-observation
-scores ``psi``, or decides m's p-value outright. One loop,
-``_select_loop``, bootstraps the minimum of ``mu`` with shared Gaussian
-multipliers and keeps m when its p-value reaches alpha. The multipliers
-are one block per ``SelectionConfig``, keyed by (seed, TAG_BOOT) and drawn
-on first use, so every method and every call run with that config sees
-the same block. The loop writes the undecided references' columns side by
-side and bootstraps them in one product per block of at most 2 MiB (262
-columns at n = 1000, where the gemm runs near its peak rate; at half that
-width it does not).
-RSR's tie coins are keyed by model ids. Reordering a panel's columns
-therefore reorders the results and changes nothing else:
+The three confidence-set methods differ only in their evidence: for a
+reference model m and a competitor j, a centered contrast mu (positive
+favors m) with per-observation bootstrap scores psi. Every method's
+contrast is antisymmetric in the pair, so one count of (m, j) serves both
+directions: j's contrast against m is the mirrored mu (from integer
+totals, to the bit) and its scores are -psi. The one exception is an RSR
+pair with a tied cell, whose tie coins are drawn per direction, so each
+direction is counted on its own. One loop, ``_pair_loop``, visits the
+models in model-id order; each model counts every later model, plus the
+earlier ones whose pair is tied. Each pair's psi column goes once into a
+column-major block of at most 2 MiB (262 columns at n = 1000, where the
+gemm runs near its peak rate; at half that width it does not), and each
+block's product with the shared Gaussian multipliers updates running
+(M, B) minima, +G for the counting model and -G for its competitor. No
+whole-panel psi or product is ever held. A model is kept when the share
+of its minima below sqrt(n) * min(mu) reaches alpha. The multipliers are
+one block per ``SelectionConfig``, keyed by (seed, TAG_BOOT) and drawn on
+first use, so every method and every call run with that config sees the
+same block. RSR's tie coins are keyed by model ids and pairs are oriented
+by id, not by column position. Reordering a panel's columns therefore
+reorders the results and changes nothing else:
 
 * ``rsr_from_panel``: generalized rank-sum pairs; optional screening drops
   competitors that m already beats overwhelmingly (all dropped: p = 1).
@@ -42,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, integral, run_min_bootstrap
+from .bootstrap import BootstrapConfig, integral, p_values, run_min_bootstrap
 from .errors import ContractError, LearnerError
 from .models import Dataset, LossFn, loss_eval
 from .ranksum import LossPanel, pair_stats
@@ -170,117 +177,174 @@ def screen(mu, se, n_models: int, alpha_screen: float, s: float) -> np.ndarray:
     return np.nonzero(mu / se <= 2.0 * c)[0]
 
 
-class _Evidence(NamedTuple):
-    """Reference m's centered bootstrap columns (mu, psi), or its p-value
-    ``decided`` as (p, t_obs); ``dropped`` lists the competitors screening
-    removed (None for methods that do not screen)."""
+class _Pairs(NamedTuple):
+    """One model's counted pairs, in both directions.
 
-    mu: np.ndarray | None = None
-    psi: np.ndarray | None = None
-    decided: tuple[float, float] | None = None
-    dropped: tuple[int, ...] | None = None
+    Row 0 of ``mu``, ``keep`` and ``lost`` is the model's own direction
+    against each of ``competitors``, row 1 each competitor's against it;
+    ``psi`` holds row 0's bootstrap scores, and row 1's are its negation.
+    ``mu`` is the centered contrast (positive favors the direction's
+    reference), ``keep`` marks a direction that is bootstrapped,
+    ``dropped`` one that screening removed and ``lost`` one that rejects
+    its reference outright. Row 1 is all False where ``tied`` (an RSR pair
+    whose tie coins make each direction its own count).
+    """
+
+    competitors: np.ndarray     # (p,) int
+    mu: np.ndarray              # (2, p)
+    psi: np.ndarray             # (n, p)
+    keep: np.ndarray            # (2, p) bool
+    dropped: np.ndarray         # (2, p) bool
+    lost: np.ndarray            # (2, p) bool
+    tied: np.ndarray            # (p,) bool
 
 
-def _select_loop(panel: LossPanel, config: SelectionConfig, method: str,
-                 evidence) -> ConfidenceSet:
-    """Bootstrap each reference model's evidence; keep m when p >= alpha.
+def _pair_loop(panel: LossPanel, config: SelectionConfig, method: str, count,
+               screens: bool) -> ConfidenceSet:
+    """Bootstrap every model's directions; keep m when p >= alpha.
 
-    Undecided references' columns go side by side into one block, and each
-    full block (and the last) is bootstrapped in one call.
+    Models are visited in model-id order, and ``count(m, competitors)``
+    counts model m against every later model and against the earlier ones
+    whose pair is tied. A direction's psi column goes into a column-major
+    block once, scoring its pair's two directions with opposite signs, and
+    each full block (and the last) is folded into running (M, B) minima in
+    one call. A model that loses a direction outright gets p = 0, one with
+    no bootstrapped direction p = 1.
     """
     n_models = panel.n_models
-    p_vals = np.zeros(n_models)
-    screened_out: dict[int, tuple[int, ...]] = {}
-    diagnostics: list[dict | None] = [None] * n_models
+    order = sorted(range(n_models), key=panel.model_ids.__getitem__)
+    rank_of = np.argsort(order)
+    earlier_tied: list[list[int]] = [[] for _ in range(n_models)]
+    counted: list[tuple[int, _Pairs]] = []
+    draws = np.full((n_models, config.B), np.inf)
     width = max(_BLOCK_BYTES // (8 * max(panel.n, config.B)), n_models - 1)
     width = min(width, n_models * (n_models - 1))
-    mu_block = np.empty(width)
     psi_block = np.empty((panel.n, width), order="F")
-    refs: list[int] = []
-    sizes: list[int] = []
+    segments: list[tuple[int, np.ndarray]] = []
+    used = 0
 
-    def bootstrap_block():
-        used = sum(sizes)
-        t_obs, _, p = run_min_bootstrap(mu_block[:used], psi_block[:, :used],
-                                        config.bootstrap, sizes)
-        p_vals[refs] = p
-        for m, size, t in zip(refs, sizes, t_obs):
-            diagnostics[m] = {"t_obs": float(t), "n_cols": size}
-        refs.clear()
-        sizes.clear()
-
-    for m in range(n_models):
-        ev = evidence(m)
-        if ev.dropped is not None:
-            screened_out[m] = ev.dropped
-        if ev.decided is not None:
-            p_vals[m], t_obs = ev.decided
-            diagnostics[m] = {"t_obs": t_obs, "n_cols": 0}
+    for rank, m in enumerate(order):
+        later = order[rank + 1:]
+        if not earlier_tied[m] and not later:
             continue
-        start = sum(sizes)
-        if start + ev.mu.size > width:
-            bootstrap_block()
-            start = 0
-        stop = start + ev.mu.size
-        mu_block[start:stop] = ev.mu
-        psi_block[:, start:stop] = ev.psi
-        refs.append(m)
-        sizes.append(ev.mu.size)
-    if refs:
-        bootstrap_block()
+        pairs = count(m, np.array(earlier_tied[m] + later))
+        # The earlier competitors come first, all tied; the later tied ones
+        # count m in their turn.
+        for j in pairs.competitors[pairs.tied][len(earlier_tied[m]):]:
+            earlier_tied[j].append(m)
+        counted.append((m, pairs._replace(psi=None)))
+        # A column scores m where row 0 is kept and its competitor, negated,
+        # where row 1 is. Tests are numbered by rank, so a run of later
+        # competitors names consecutive tests.
+        mine, theirs = pairs.keep
+        cols = np.flatnonzero(mine | theirs)
+        if cols.size == 0:
+            continue
+        if used + cols.size > width:
+            run_min_bootstrap(draws, psi_block[:, :used], config.bootstrap, segments)
+            segments.clear()
+            used = 0
+        psi_block[:, used:used + cols.size] = (
+            pairs.psi if cols.size == mine.size else pairs.psi[:, cols])
+        segments.append((np.where(mine, rank, -1)[cols],
+                         np.where(theirs, rank_of[pairs.competitors], -1)[cols]))
+        used += cols.size
+    if segments:
+        run_min_bootstrap(draws, psi_block[:, :used], config.bootstrap, segments)
+
+    # Every counted direction, laid out as the (2, p) rows of _Pairs:
+    # owners[mask] are the directions' references, owners[::-1][mask] their
+    # competitors.
+    comps = np.concatenate([pairs.competitors for _, pairs in counted])
+    refs = np.repeat([m for m, _ in counted], [pairs.mu.shape[1] for _, pairs in counted])
+    owners = np.stack([refs, comps])
+    mu, keep, dropped, lost = (
+        np.concatenate([getattr(pairs, name) for _, pairs in counted], axis=1)
+        for name in ("mu", "keep", "dropped", "lost"))
+    mu_min = np.full(n_models, np.inf)
+    np.minimum.at(mu_min, owners[keep], mu[keep])
+    n_cols = np.bincount(owners[keep], minlength=n_models)
+    t_obs = math.sqrt(panel.n) * mu_min
+    p_vals = np.empty(n_models)
+    p_vals[order] = p_values(t_obs[order], draws)
+    rejected = np.isin(np.arange(n_models), owners[lost])
+    diagnostics = {}
+    for m in range(n_models):
+        if rejected[m]:
+            p_vals[m], t_obs[m], n_cols[m] = 0.0, -math.inf, 0
+        elif n_cols[m] == 0:
+            p_vals[m], t_obs[m] = 1.0, math.inf
+        diagnostics[m] = {"t_obs": float(t_obs[m]), "n_cols": int(n_cols[m])}
+    screened_out = {}
+    if screens:
+        ref, other = owners[dropped], owners[::-1][dropped]
+        by_ref = np.lexsort((other, ref))
+        bounds = np.cumsum(np.bincount(ref, minlength=n_models))[:-1]
+        screened_out = {m: tuple(js.tolist())
+                        for m, js in enumerate(np.split(other[by_ref], bounds))}
     return ConfidenceSet(method=method, alpha=config.alpha, model_ids=panel.model_ids,
                          p_values=p_vals, screened_out=screened_out,
-                         diagnostics=dict(enumerate(diagnostics)))
+                         diagnostics=diagnostics)
 
 
-def _rsr_evidence(panel: LossPanel, config: SelectionConfig, ties: TieStreams,
-                  m: int) -> _Evidence:
-    stats = pair_stats(panel, m, ties=ties)
+def _rsr_pairs(panel: LossPanel, config: SelectionConfig, ties: TieStreams,
+               m: int, competitors: np.ndarray) -> _Pairs:
+    stats = pair_stats(panel, m, ties=ties, competitors=competitors)
+    mirrored = ~stats.tied
+    mu = np.stack([stats.mu, stats.mirror()[1]])
+    offered = np.stack([np.ones_like(mirrored), mirrored])
+    keep = offered.copy()
     if config.screening_enabled:
-        keep = screen(stats.mu, stats.se, panel.n_models, config.alpha_screen, config.s)
-    else:
-        keep = np.arange(stats.mu.size)
-    dropped = tuple(int(j) for j in np.delete(stats.competitors, keep))
-    if keep.size == 0:
-        # Reference beats every competitor beyond the screening bar;
-        # nothing contradicts its optimality.
-        return _Evidence(decided=(1.0, math.inf), dropped=dropped)
-    return _Evidence(stats.mu[keep], stats.psi[:, keep], dropped=dropped)
+        kept = np.zeros(np.count_nonzero(offered), dtype=bool)
+        kept[screen(mu[offered], np.broadcast_to(stats.se, mu.shape)[offered],
+                    panel.n_models, config.alpha_screen, config.s)] = True
+        keep[offered] = kept
+    return _Pairs(stats.competitors, mu, stats.psi, keep, offered & ~keep,
+                  np.zeros_like(keep), stats.tied)
 
 
-def _pcv_evidence(panel: LossPanel, m: int) -> _Evidence:
+def _pcv_pairs(panel: LossPanel, m: int, competitors: np.ndarray) -> _Pairs:
     a = panel.column(m)[:, None]
-    others = np.delete(panel.losses, m, axis=1)
+    others = panel.losses[:, competitors]
     tied = a == others
-    ind = ((a < others) + 0.5 * tied)[:, ~tied.all(axis=0)]
-    if ind.shape[1] == 0:
-        return _Evidence(decided=(1.0, math.inf))
-    means = ind.mean(axis=0)
-    return _Evidence(means - 0.5, ind - means)
+    ind = (a < others) + 0.5 * tied
+    # Half wins sum exactly, so the reverse mean is (n - S) / n to the bit.
+    wins = ind.sum(axis=0)
+    means = wins / panel.n
+    mu = np.stack([means - 0.5, (panel.n - wins) / panel.n - 0.5])
+    live = np.broadcast_to(~tied.all(axis=0), mu.shape)
+    none = np.zeros_like(live)
+    return _Pairs(competitors, mu, ind - means, live, none, none,
+                  np.zeros(competitors.size, dtype=bool))
 
 
-def _cvc_evidence(panel: LossPanel, m: int) -> _Evidence:
-    competitors = [j for j in range(panel.n_models) if j != m]
+def _cvc_pairs(panel: LossPanel, m: int, competitors: np.ndarray) -> _Pairs:
+    # Fancy indexing makes diff column-major, so each column reduces as a
+    # 1-D array whatever the other columns are. Negating a column negates
+    # its mean and scores exactly and keeps its sd, but for the sign of a
+    # zero: a difference or sum that cancels is +0.0 either way, so the
+    # reverse contrast is 0.0 - mu.
     diff = panel.losses[:, competitors] - panel.column(m)[:, None]  # >0 favors m
     means = diff.mean(axis=0)
     sds = diff.std(axis=0)
     scale = max(1.0, float(np.abs(panel.losses).max()))
     live = sds > _DEGENERATE_SD * scale
-    if np.any(~live & (means < 0)):
-        return _Evidence(decided=(0.0, -math.inf))
-    if not live.any():
-        return _Evidence(decided=(1.0, math.inf))
-    psi = (diff[:, live] - means[live]) / sds[live]
+    psi = (diff - means) / np.where(live, sds, 1.0)
     psi -= psi.mean(axis=0)   # keep centering exact after the 1/sd scaling
-    return _Evidence(means[live] / sds[live], psi)
+    mu = means / np.where(live, sds, 1.0)
+    none = np.zeros((2, competitors.size), dtype=bool)
+    return _Pairs(competitors, np.stack([mu, 0.0 - mu]), psi,
+                  np.broadcast_to(live, none.shape),
+                  none, np.stack([~live & (means < 0), ~live & (means > 0)]),
+                  none[0])
 
 
 def rsr_from_panel(panel: LossPanel, config: SelectionConfig,
                    method: str = "rsr_vfold") -> ConfidenceSet:
     """Rank-sum confidence set computed directly from a loss panel."""
     ties = TieStreams(config.seed, TAG_RSR_TIES)
-    return _select_loop(panel, config, method,
-                        partial(_rsr_evidence, panel, config, ties))
+    return _pair_loop(panel, config, method,
+                      partial(_rsr_pairs, panel, config, ties), screens=True)
 
 
 def pcv_select(panel: LossPanel, config: SelectionConfig) -> ConfidenceSet:
@@ -289,7 +353,7 @@ def pcv_select(panel: LossPanel, config: SelectionConfig) -> ConfidenceSet:
     A tie scores 1/2, a fair coin's mean, so no coin is drawn. A copy of m
     (mu = 0, psi = 0) carries no evidence and is dropped; none left: p = 1.
     """
-    return _select_loop(panel, config, "pcv", partial(_pcv_evidence, panel))
+    return _pair_loop(panel, config, "pcv", partial(_pcv_pairs, panel), screens=False)
 
 
 def cvc_style_select(panel: LossPanel, config: SelectionConfig) -> ConfidenceSet:
@@ -301,7 +365,8 @@ def cvc_style_select(panel: LossPanel, config: SelectionConfig) -> ConfidenceSet
     decided by sign: a constant win for the competitor rejects m outright,
     a constant win or exact tie for m carries no evidence against it.
     """
-    return _select_loop(panel, config, "cvc_style", partial(_cvc_evidence, panel))
+    return _pair_loop(panel, config, "cvc_style", partial(_cvc_pairs, panel),
+                      screens=False)
 
 
 def cv_select(panel: LossPanel, config: SelectionConfig) -> ConfidenceSet:

@@ -5,6 +5,7 @@ import pytest
 
 from ranksel import (BootstrapConfig, ContractError, SelectionConfig,
                      multiplier_min_bootstrap, run_min_bootstrap)
+from ranksel.bootstrap import p_values
 
 
 def _centered(rng, n, p):
@@ -99,17 +100,21 @@ class TestBootstrapConfig:
         assert len(recwarn) == 0
 
 
+def _fresh(tests, cfg):
+    return np.full((tests, cfg.B), np.inf)
+
+
 def _p_at(t, psi, cfg):
-    """``run_min_bootstrap``'s draws at zero mu and its p-value at t_obs = t
-    (every mu set to t / sqrt(n)); the draws do not depend on mu."""
+    """One test's draws over every column of psi, and its t_obs and p-value
+    when every mu is t / sqrt(n); the draws do not depend on mu."""
     n, p = psi.shape
-    _, draws, _ = run_min_bootstrap(np.zeros(p), psi, cfg, [p])
-    t_obs, _, p_value = run_min_bootstrap(np.full(p, t / math.sqrt(n)), psi, cfg, [p])
-    return draws[:, 0], t_obs[0], p_value[0]
+    draws = run_min_bootstrap(_fresh(1, cfg), psi, cfg, [(np.zeros(p), np.full(p, -1))])
+    t_obs = math.sqrt(n) * np.full(p, t / math.sqrt(n)).min()
+    return draws[0], t_obs, p_values([t_obs], draws)[0]
 
 
 class TestPValue:
-    """p-values as ``run_min_bootstrap`` counts them from its own draws."""
+    """p-values as ``p_values`` counts them from ``run_min_bootstrap``'s draws."""
 
     def test_below_all(self):
         psi = _centered(np.random.default_rng(9), 25, 2)
@@ -151,47 +156,69 @@ class TestPValue:
 
 class TestRunMinBootstrap:
     def test_t_obs_scale(self):
+        # Draws are on the scale of t_obs = sqrt(n) * min(mu): the row
+        # minima of the product over sqrt(n), as for one test alone.
         rng = np.random.default_rng(11)
         psi = _centered(rng, 36, 2)
-        mu = np.array([0.2, -0.1])
-        t_obs, draws, p = run_min_bootstrap(mu, psi, BootstrapConfig(B=500, seed=5), [2])
-        assert (t_obs.shape, draws.shape, p.shape) == ((1,), (500, 1), (1,))
-        assert t_obs[0] == pytest.approx(math.sqrt(36) * -0.1)
-        assert p[0] == np.count_nonzero(draws[:, 0] < t_obs[0]) / 500
+        cfg = BootstrapConfig(B=500, seed=5)
+        draws = run_min_bootstrap(_fresh(1, cfg), psi, cfg, [([0, 0], [-1, -1])])
+        assert draws.shape == (1, 500)
+        assert draws.tobytes() == multiplier_min_bootstrap(psi, cfg).tobytes()
+        t_obs = math.sqrt(36) * np.array([0.2, -0.1]).min()
+        assert p_values([t_obs], draws)[0] == np.count_nonzero(draws[0] < t_obs) / 500
 
     def test_segments_match_separate_runs(self):
+        # Each test's draws are those of its signed columns on their own,
+        # however its columns are spread over runs and blocks.
         rng = np.random.default_rng(12)
-        psi = _centered(rng, 40, 6)
-        mu = rng.standard_normal(6) / 10
+        psi = _centered(rng, 40, 8)
         cfg = BootstrapConfig(B=500, seed=8)
-        t_obs, draws, p = run_min_bootstrap(mu, psi, cfg, [2, 3, 1])
-        assert (t_obs.shape, draws.shape, p.shape) == ((3,), (500, 3), (3,))
-        for r, cols in enumerate((slice(0, 2), slice(2, 5), slice(5, 6))):
-            alone = run_min_bootstrap(mu[cols], psi[:, cols], cfg, [cols.stop - cols.start])
-            assert t_obs[r] == alone[0][0] == math.sqrt(40) * mu[cols].min()
-            np.testing.assert_allclose(draws[:, r], alone[1][:, 0], rtol=0, atol=1e-12)
-            assert p[r] == alone[2][0]
+        blocks = [[([0, 0], [1, -1]), ([1, -1, 1], [2, 0, -1])],
+                  [([-1], [2]), ([2, 2], [-1, 1])]]
+        signed = {0: [], 1: [], 2: []}
+        draws, start = _fresh(3, cfg), 0
+        for block in blocks:
+            size = sum(len(plus) for plus, _ in block)
+            run_min_bootstrap(draws, psi[:, start:start + size], cfg, block)
+            for plus, minus in block:
+                for c, (test, other) in enumerate(zip(plus, minus), start):
+                    if test >= 0:
+                        signed[test].append(psi[:, c])
+                    if other >= 0:
+                        signed[other].append(-psi[:, c])
+                start += len(plus)
+        for test, cols in signed.items():
+            alone = multiplier_min_bootstrap(np.column_stack(cols), cfg)
+            np.testing.assert_allclose(draws[test], alone, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("sizes", [[0, 3], [3, 0], [2, 0, 1], [1, 1], [2, 2],
-                                       [], [-1, 4]])
+    @pytest.mark.parametrize("sizes", [
+        [([0, 0], [-1, -1])], [([0, 0, 0], [-1, -1])], [([0, 0, 0], [1, 1, -1])],
+        [([3, 3, 3], [-1, -1, -1])], [([0, 0, 0], [-2, -1, -1])], [],
+        [([0, 1, 0], [-1, -1, -1])]])
     def test_bad_segment_sizes_rejected(self, sizes):
+        # Runs must cover the block's columns, each with one plus test and
+        # distinct minus tests, among the draws' three rows.
         rng = np.random.default_rng(13)
         psi = _centered(rng, 20, 3)
-        with pytest.raises(ContractError, match="segment sizes"):
-            run_min_bootstrap(np.zeros(3), psi, BootstrapConfig(B=500, seed=1), sizes)
+        cfg = BootstrapConfig(B=500, seed=1)
+        with pytest.raises(ContractError, match="segments must cover"):
+            run_min_bootstrap(_fresh(3, cfg), psi, cfg, sizes)
 
     @pytest.mark.parametrize("width", [9, 45, 262])
     def test_column_major_block_gives_the_same_bytes(self, width):
         # select bootstraps a column-major psi block; the gemm must read it
         # to the same bits as a C-ordered copy at every block width.
         rng = np.random.default_rng(width)
-        n = 1000
+        n, tests = 1000, 50
         psi = _centered(rng, n, width)
-        mu = rng.standard_normal(width) / math.sqrt(n)
-        sizes = [49] * (width // 49) + [width % 49] * (width % 49 > 0)
         cfg = BootstrapConfig(B=500, seed=9)
-        c_run = run_min_bootstrap(mu, np.ascontiguousarray(psi), cfg, sizes)
-        f_run = run_min_bootstrap(mu, np.asfortranarray(psi), cfg, sizes)
-        for c_out, f_out in zip(c_run, f_run):
-            assert c_out.tobytes() == f_out.tobytes()
-        assert 0.0 < c_run[2].max()
+        segments = [(np.full(size, r), np.arange(r + 1, r + 1 + size) % tests)
+                    for r, size in enumerate([49] * (width // 49) + [width % 49])]
+        t_obs = rng.standard_normal(tests)
+        c_run = run_min_bootstrap(_fresh(tests, cfg), np.ascontiguousarray(psi), cfg,
+                                  segments)
+        f_run = run_min_bootstrap(_fresh(tests, cfg), np.asfortranarray(psi), cfg,
+                                  segments)
+        assert c_run.tobytes() == f_run.tobytes()
+        assert p_values(t_obs, c_run).tobytes() == p_values(t_obs, f_run).tobytes()
+        assert 0.0 < p_values(t_obs, c_run).max()

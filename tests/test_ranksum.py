@@ -462,7 +462,7 @@ class TestTieStreamLaziness:
         assert d == losses.size - 3
         ties = _CountingTieStreams(7, 9)
         for m in range(panel.n_models):
-            competitors, _, col, _ = ranksum._reference_counts(panel, m)
+            competitors, _, col, _, _ = ranksum._reference_counts(panel, m)
             below = np.cumsum(np.bincount(ranks[m] + 1, minlength=d + 1))
             assert np.array_equal(col, below[ranks[competitors]])
             stats = pair_stats(panel, m, ties=ties)
@@ -596,7 +596,7 @@ class TestTieCoinFairness:
         heads = np.zeros(n)
         for seed in self.SEEDS:
             panel = LossPanel(losses=np.full((n, 2), float(seed % 2)), model_ids=("a", "b"))
-            _, _, col, _ = ranksum._reference_counts(
+            _, _, col, _, _ = ranksum._reference_counts(
                 panel, 0, lambda j: TieStreams(seed, 3).pair("a", "b"))
             heads += col[0]
         trials = len(self.SEEDS) * n

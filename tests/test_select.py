@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -129,19 +130,25 @@ class TestPcvSelect:
             assert cs.diagnostics[m] == {"t_obs": math.inf, "n_cols": 0}
 
     def test_mu_is_half_win_rate_brute_force(self):
+        # One count gives both directions: m's half-win rate against each
+        # competitor, and each competitor's against m.
         rng = np.random.default_rng(13)
         panel = _binary_panel(rng, np.array([0.3, 0.4, 0.5, 0.45]), n=60)
+
+        def half_wins(a, b):
+            wins = sum(1 for k in range(panel.n) if a[k] < b[k])
+            ties = sum(1 for k in range(panel.n) if a[k] == b[k])
+            return (wins + 0.5 * ties) / panel.n - 0.5
+
         for m in range(panel.n_models):
-            ev = select._pcv_evidence(panel, m)
-            expect = []
-            for j in range(panel.n_models):
-                if j == m:
-                    continue
-                a, b = panel.column(m), panel.column(j)
-                wins = sum(1 for k in range(panel.n) if a[k] < b[k])
-                ties = sum(1 for k in range(panel.n) if a[k] == b[k])
-                expect.append((wins + 0.5 * ties) / panel.n - 0.5)
-            assert ev.mu.tolist() == expect
+            competitors = np.delete(np.arange(panel.n_models), m)
+            pairs = select._pcv_pairs(panel, m, competitors)
+            a = panel.column(m)
+            assert pairs.mu[0].tolist() == [half_wins(a, panel.column(j))
+                                            for j in competitors]
+            assert pairs.mu[1].tolist() == [half_wins(panel.column(j), a)
+                                            for j in competitors]
+            assert pairs.mu[0].tolist() == _pcv_evidence(panel, m).mu.tolist()
 
     def test_renaming_models_leaves_tie_panel_results_unchanged(self):
         losses = _order_panels()["binary"]
@@ -411,6 +418,72 @@ class TestRsrMirror:
         assert sorted(made[0].pairs) == [("a", "b"), ("b", "a"), ("d", "e"), ("e", "d")]
 
 
+# ---------------------------------------------------------------------------
+# Per-reference oracle: the selection loop the pair loop replaced. For each
+# reference m it counts every competitor, screens m's own contrasts and
+# bootstraps m's columns on their own; it never reuses a pair's count for
+# the other direction.
+
+class _Evidence(NamedTuple):
+    """Reference m's centered bootstrap columns (mu, psi), or its p-value
+    ``decided`` as (p, t_obs); ``dropped`` lists the competitors screening
+    removed (None for methods that do not screen)."""
+
+    mu: np.ndarray | None = None
+    psi: np.ndarray | None = None
+    decided: tuple[float, float] | None = None
+    dropped: tuple[int, ...] | None = None
+
+
+def _rsr_evidence(panel, config, ties, m):
+    stats = pair_stats(panel, m, ties=ties)
+    if config.screening_enabled:
+        keep = screen(stats.mu, stats.se, panel.n_models, config.alpha_screen, config.s)
+    else:
+        keep = np.arange(stats.mu.size)
+    dropped = tuple(int(j) for j in np.delete(stats.competitors, keep))
+    if keep.size == 0:
+        return _Evidence(decided=(1.0, math.inf), dropped=dropped)
+    return _Evidence(stats.mu[keep], stats.psi[:, keep], dropped=dropped)
+
+
+def _pcv_evidence(panel, m):
+    a = panel.column(m)[:, None]
+    others = np.delete(panel.losses, m, axis=1)
+    tied = a == others
+    ind = ((a < others) + 0.5 * tied)[:, ~tied.all(axis=0)]
+    if ind.shape[1] == 0:
+        return _Evidence(decided=(1.0, math.inf))
+    means = ind.mean(axis=0)
+    return _Evidence(means - 0.5, ind - means)
+
+
+def _cvc_evidence(panel, m):
+    competitors = [j for j in range(panel.n_models) if j != m]
+    diff = panel.losses[:, competitors] - panel.column(m)[:, None]  # >0 favors m
+    means = diff.mean(axis=0)
+    sds = diff.std(axis=0)
+    scale = max(1.0, float(np.abs(panel.losses).max()))
+    live = sds > select._DEGENERATE_SD * scale
+    if np.any(~live & (means < 0)):
+        return _Evidence(decided=(0.0, -math.inf))
+    if not live.any():
+        return _Evidence(decided=(1.0, math.inf))
+    psi = (diff[:, live] - means[live]) / sds[live]
+    psi -= psi.mean(axis=0)
+    return _Evidence(means[live] / sds[live], psi)
+
+
+def _evidence_of(method, panel, cfg):
+    """Reference m's evidence as the per-reference oracle computes it."""
+    if method is rsr_from_panel:
+        ties = TieStreams(cfg.seed, TAG_RSR_TIES)
+        return lambda m: _rsr_evidence(panel, cfg, ties, m)
+    if method is pcv_select:
+        return lambda m: _pcv_evidence(panel, m)
+    return lambda m: _cvc_evidence(panel, m)
+
+
 METHODS = (rsr_from_panel, pcv_select, cvc_style_select)
 
 
@@ -452,44 +525,37 @@ class TestSelectionLoop:
         panel = _panel(_loop_panels()[name])
         n_models = panel.n_models
         cfg = SelectionConfig(seed=23)
-        segments = []
+        configs = []
         real = select.run_min_bootstrap
 
-        def recording(mu, psi, boot, sizes):
-            # one config for every call, holding the seed contract
-            assert boot is cfg.bootstrap
-            assert boot.seed == subseed(cfg.seed, TAG_BOOT)
-            start = 0
-            for size in sizes:
-                seg = mu[start:start + size]
-                segments.append((size, math.sqrt(psi.shape[0]) * seg.min()))
-                start += size
-            return real(mu, psi, boot, sizes)
+        def recording(draws, psi, boot, segments):
+            configs.append(boot)
+            return real(draws, psi, boot, segments)
 
         with mock.patch.object(select, "run_min_bootstrap", recording):
             cs = method(panel, cfg)
+        # one config for every call, holding the seed contract
+        assert all(boot is cfg.bootstrap for boot in configs)
+        assert cfg.bootstrap.seed == subseed(cfg.seed, TAG_BOOT)
         decided = self.DECIDED[(method, name)]
-        # The loop visits references in index order and bootstraps every
-        # undecided one, so the block segments belong to those references
-        # in turn; each segment's own t_obs confirms which reference it is.
-        bootstrapped = [m for m in range(n_models) if m not in decided]
-        assert len(segments) == len(bootstrapped)
-        cols_by_ref = {m: cols for m, (cols, _) in zip(bootstrapped, segments)}
-        t_obs_by_ref = {m: t_obs for m, (_, t_obs) in zip(bootstrapped, segments)}
+        assert bool(configs) == (len(decided) < n_models)
+        evidence = _evidence_of(method, panel, cfg)
         assert sorted(cs.diagnostics) == list(range(n_models))
         for m, diag in cs.diagnostics.items():
+            ev = evidence(m)
             if m in decided:
-                assert m not in cols_by_ref
+                assert ev.decided == (cs.p_values[m], decided[m])
                 assert diag == {"t_obs": decided[m], "n_cols": 0}
                 assert cs.p_values[m] == (1.0 if decided[m] > 0 else 0.0)
             else:
-                assert diag["n_cols"] == cols_by_ref[m] > 0
-                assert diag["t_obs"] == t_obs_by_ref[m]
+                assert ev.decided is None
+                assert diag["n_cols"] == ev.mu.size > 0
+                assert diag["t_obs"] == math.sqrt(panel.n) * ev.mu.min()
                 assert math.isfinite(diag["t_obs"])
-        assert len(cols_by_ref) == n_models - len(decided)
-        assert cs.bootstrap_columns == sum(cols_by_ref.values())
+        assert cs.bootstrap_columns == sum(
+            evidence(m).mu.size for m in range(n_models) if m not in decided)
         if method is rsr_from_panel:
-            assert sorted(cs.screened_out) == list(range(n_models))
+            assert cs.screened_out == {m: evidence(m).dropped for m in range(n_models)}
             for m, diag in cs.diagnostics.items():
                 assert diag["n_cols"] + len(cs.screened_out[m]) == n_models - 1
         else:
@@ -549,10 +615,10 @@ class TestSelectionLoop:
     def test_bootstrapped_psi_is_centered(self, panel, seed):
         real = select.run_min_bootstrap
 
-        def checking(mu, psi, boot, sizes):
-            assert psi.shape == (panel.n, mu.size) and sum(sizes) == mu.size
+        def checking(draws, psi, boot, segments):
+            assert psi.shape == (panel.n, sum(len(neg) for _, neg in segments))
             assert np.all(np.abs(psi.mean(axis=0)) <= PSI_CENTERING_TOL * panel.n)
-            return real(mu, psi, boot, sizes)
+            return real(draws, psi, boot, segments)
 
         cfg = SelectionConfig(seed=seed)
         with mock.patch.object(select, "run_min_bootstrap", checking):
@@ -575,38 +641,28 @@ class TestSelectionLoop:
         assert pcv_select(mapped, cfg).to_dict() == pcv_select(panel, cfg).to_dict()
 
 
-def _evidence_of(method, panel, cfg):
-    """Reference m's evidence as ``method`` computes it, one at a time."""
-    if method is rsr_from_panel:
-        ties = TieStreams(cfg.seed, TAG_RSR_TIES)
-        return lambda m: select._rsr_evidence(panel, cfg, ties, m)
-    if method is pcv_select:
-        return lambda m: select._pcv_evidence(panel, m)
-    return lambda m: select._cvc_evidence(panel, m)
-
-
 class TestBlockedBootstrap:
-    """The loop's blocked bootstrap against one bootstrap per reference."""
+    """The pair loop's blocked bootstrap against the per-reference oracle."""
 
     @settings(max_examples=40, deadline=None)
     @given(panel=st.one_of(loss_panels(), mixed_panels()),
            seed=st.integers(0, 2**32 - 1), extra=st.integers(0, 6))
     def test_blocks_match_per_reference_bootstraps(self, panel, seed, extra):
         cfg = SelectionConfig(seed=seed)
-        # Blocks of M - 1 + extra columns: one reference always fits, two
-        # seldom do, so blocks split mid-panel.
+        # Blocks of M - 1 + extra columns: one model's count always fits,
+        # two seldom do, so a reference's columns (its own count's, and the
+        # negated ones from each earlier model's) span several blocks.
         width = panel.n_models - 1 + extra
-        results, widths = [], []
+        finals, widths = [], []
         real = select.run_min_bootstrap
 
-        def recording(mu, psi, boot, sizes):
-            widths.append(mu.size)
-            t_obs, draws, p = real(mu, psi, boot, sizes)
-            results.extend(zip(t_obs, draws.T, p))
-            return t_obs, draws, p
+        def recording(draws, psi, boot, segments):
+            widths.append(psi.shape[1])
+            finals[:] = [real(draws, psi, boot, segments)]
+            return finals[0]
 
         for method in METHODS:
-            results.clear()
+            finals.clear()
             widths.clear()
             with mock.patch.object(select, "_BLOCK_BYTES",
                                    8 * max(panel.n, cfg.B) * width), \
@@ -614,20 +670,22 @@ class TestBlockedBootstrap:
                 cs = method(panel, cfg)
             assert max(widths, default=0) <= width
             evidence = _evidence_of(method, panel, cfg)
-            blocked = iter(results)
             for m in range(panel.n_models):
                 ev = evidence(m)
+                if method is rsr_from_panel:
+                    assert cs.screened_out[m] == ev.dropped
                 if ev.decided is not None:
-                    assert cs.p_values[m] == ev.decided[0]
+                    p, t_obs = ev.decided
+                    assert cs.p_values[m] == p
+                    assert cs.diagnostics[m] == {"t_obs": t_obs, "n_cols": 0}
                     continue
-                got_t_obs, got_draws, got_p = next(blocked)
                 draws = multiplier_min_bootstrap(ev.psi, cfg.bootstrap)
                 t_obs = math.sqrt(panel.n) * ev.mu.min()
-                # BLAS may round a column differently inside a wider product
-                np.testing.assert_allclose(got_draws, draws, rtol=0, atol=1e-12)
-                assert got_t_obs == cs.diagnostics[m]["t_obs"] == t_obs
-                assert got_p == cs.p_values[m] == np.count_nonzero(draws < t_obs) / cfg.B
-            assert next(blocked, None) is None
+                # BLAS may round a column differently inside a wider
+                # product, and a negated column is -psi up to rounding.
+                np.testing.assert_allclose(finals[0][m], draws, rtol=0, atol=1e-12)
+                assert cs.diagnostics[m] == {"t_obs": t_obs, "n_cols": ev.mu.size}
+                assert cs.p_values[m] == np.count_nonzero(draws < t_obs) / cfg.B
 
     def test_peak_memory_is_bounded_by_the_block_cap(self):
         # A wide panel bootstraps 60 * 59 columns. Held at once, as one
