@@ -46,34 +46,43 @@ def _read_csv_rows(path):
         fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataError(f"{path} is empty") from None
-        try:
-            # A header-only body warns; as an error it takes the path below.
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                body = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
-                                  dtype=float, ndmin=2)
-            if body.shape[1] == len(header) and np.isfinite(body).all():
-                return header, body
-        except (ValueError, UserWarning):
-            pass
-        fh.seek(0)
-        reader = csv.reader(fh)
-        next(reader)
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
-                )
-            rows.append((reader.line_num, row))
+    try:
+        return _read_csv_text(fh, path)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text ({exc.reason})") from None
+    finally:
+        fh.close()
+
+
+def _read_csv_text(fh, path):
+    """``_read_csv_rows`` on an open text file."""
+    reader = csv.reader(fh)
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise DataError(f"{path} is empty") from None
+    try:
+        # A header-only body warns; as an error it takes the path below.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            body = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
+                              dtype=float, ndmin=2)
+        if body.shape[1] == len(header) and np.isfinite(body).all():
+            return header, body
+    except (ValueError, UserWarning):
+        pass
+    fh.seek(0)
+    reader = csv.reader(fh)
+    next(reader)
+    rows = []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise DataError(
+                f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
+            )
+        rows.append((reader.line_num, row))
     return header, rows
 
 
@@ -155,6 +164,8 @@ def parse_config_file(path) -> dict[str, str]:
         text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text ({exc.reason})") from None
     out: dict[str, tuple[int, str]] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()

@@ -331,10 +331,10 @@ def pair_stats(panel: LossPanel, m: int, ties: TieStreams | None = None,
     if not 0 <= m < panel.n_models:
         raise ContractError(f"reference index {m} out of range")
     if competitors is not None:
-        competitors = np.asarray(competitors, dtype=np.intp)
-        if competitors.ndim != 1 or np.any((competitors < 0)
-                                           | (competitors >= panel.n_models)
-                                           | (competitors == m)):
+        competitors = np.asarray(competitors)
+        if (competitors.ndim != 1 or competitors.dtype.kind not in "iu"
+                or np.any((competitors < 0) | (competitors >= panel.n_models)
+                          | (competitors == m))):
             raise ContractError(f"competitors of {m} must be other models' indices")
     if ties is None:
         ties = TieStreams(0)

@@ -655,6 +655,27 @@ def test_unwritable_out_exit_2(command, panel_csv, tmp_path, capsys):
     assert out.read_text() == "taken\n"
 
 
+def _with_byte_ff(path, line_no):
+    """Rewrite ``path`` with a 0xff byte, never valid UTF-8, in line ``line_no``."""
+    lines = path.read_bytes().split(b"\n")
+    lines[line_no - 1] = lines[line_no - 1].replace(b",", b"\xff,", 1)
+    path.write_bytes(b"\n".join(lines))
+
+
+@pytest.mark.parametrize("line_no", (1, 3))
+@pytest.mark.parametrize("command", ("panel", "select"))
+def test_non_utf8_input_exit_3_names_the_file(command, line_no, data_csv, panel_csv,
+                                              tmp_path, capsys):
+    path = panel_csv[0] if command == "panel" else data_csv
+    _with_byte_ff(path, line_no)
+    with pytest.raises(DataError, match=f"{path} is not UTF-8 text"):
+        read_loss_panel_csv(path) if command == "panel" else read_xy_csv(path, "y")
+    rc = main([*_selection_argv(command, data_csv, panel_csv), "--seed", "1",
+               "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert f"{path} is not UTF-8 text" in capsys.readouterr().err
+
+
 class TestCliSimulate:
     def _cfg(self, tmp_path, body):
         path = tmp_path / "run.cfg"
@@ -696,6 +717,16 @@ class TestCliSimulate:
         assert rc == 2
         err = capsys.readouterr().err
         assert "(200, 200)" in err and "(400, 2000)" in err
+
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"n = 40\nx_df = 3\xff\nseed = 1\n")
+        with pytest.raises(ConfigError, match=f"config {cfg} is not UTF-8 text"):
+            parse_config_file(cfg)
+        rc = main(["simulate", "case1", "--config", str(cfg),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"config {cfg} is not UTF-8 text" in capsys.readouterr().err
 
     def test_config_with_byte_order_mark_is_read(self, tmp_path):
         # Editors that save UTF-8 with a BOM must not turn the first key into

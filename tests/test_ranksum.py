@@ -416,6 +416,91 @@ class _CountingTieStreams(TieStreams):
         return _CountingGenerator(super().pair(id_m, id_j), self)
 
 
+@st.composite
+def tie_free_panels(draw):
+    """Panels whose n * M losses are all distinct: no pair has a tied cell."""
+    n = draw(st.integers(4, 64))
+    m = draw(st.integers(2, 5))
+    losses = draw(arrays(np.float64, (n, m), unique=True,
+                         elements=st.floats(-1e6, 1e6, allow_nan=False,
+                                            allow_subnormal=False)))
+    return LossPanel(losses=losses, model_ids=tuple(f"c{j}" for j in range(m)))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestMirror:
+    """One count of a pair without a tied cell gives both directions."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(panel=tie_free_panels())
+    def test_reverse_direction_matches_its_own_count(self, panel):
+        stats = [pair_stats(panel, m) for m in range(panel.n_models)]
+        for m, fwd in enumerate(stats):
+            assert not fwd.tied.any()
+            u, mu = fwd.mirror()
+            for c, j in enumerate(fwd.competitors):
+                rev = stats[j]
+                pos = rev.competitors.tolist().index(m)
+                assert _bits(u[c]) == _bits(rev.u[pos])
+                assert _bits(mu[c]) == _bits(rev.mu[pos])
+                assert _bits(fwd.se[c]) == _bits(rev.se[pos])
+                assert np.abs(fwd.psi[:, c] + rev.psi[:, pos]).max() <= 1e-15
+
+    @settings(max_examples=40, deadline=None)
+    @given(panel=st.one_of(loss_panels(), mixed_panels()), data=st.data())
+    def test_a_competitor_subset_counts_as_in_the_full_pass(self, panel, data):
+        # Each competitor's row is its own 1-D count, so a subset, in any
+        # order, gives the full pass's bits, coins included.
+        for m in range(panel.n_models):
+            full = pair_stats(panel, m, ties=TieStreams(5, 9))
+            pos = data.draw(st.lists(st.sampled_from(range(panel.n_models - 1)),
+                                     min_size=1, unique=True))
+            sub = pair_stats(panel, m, ties=TieStreams(5, 9),
+                             competitors=full.competitors[pos])
+            assert np.array_equal(sub.competitors, full.competitors[pos])
+            for name in ("u", "mu", "se", "wins", "tied"):
+                assert _bits(getattr(sub, name)) == _bits(getattr(full, name)[pos]), name
+            assert _bits(sub.psi) == _bits(full.psi[:, pos])
+            shared = [np.intersect1d(panel.column(m), panel.column(j)).size > 0
+                      for j in full.competitors]
+            assert full.tied.tolist() == shared
+
+    @pytest.mark.parametrize("competitors", ([0, 2], [3], [[1, 2]], [1.5]))
+    def test_bad_competitors_rejected(self, competitors):
+        panel = _toy_panel(np.random.default_rng(3), n=8, m=3)
+        with pytest.raises(ContractError, match="competitors of 0"):
+            pair_stats(panel, 0, competitors=np.array(competitors))
+
+    @pytest.mark.parametrize("kind, pairs", (("tie_free", lambda m: m * (m - 1) // 2),
+                                             ("binary", lambda m: m * (m - 1))))
+    def test_selection_counts_each_tie_free_pair_once(self, kind, pairs):
+        # rsr_from_panel counts a tie-free pair from one side only, and
+        # each direction of a tied pair (every pair of a 0/1 panel) apart.
+        from ranksel import SelectionConfig, rsr_from_panel, select
+
+        rng = np.random.default_rng(67)
+        n, n_models = 50, 6
+        if kind == "tie_free":
+            losses = rng.permutation(n * n_models).reshape(n, n_models).astype(float)
+        else:
+            losses = rng.integers(0, 2, size=(n, n_models)).astype(float)
+        panel = LossPanel(losses=losses, model_ids=tuple(f"c{j}" for j in range(n_models)))
+        rows = []
+        real = select.pair_stats
+
+        def counting(*args, **kwargs):
+            out = real(*args, **kwargs)
+            rows.append(out.competitors.size)
+            return out
+
+        with mock.patch.object(select, "pair_stats", counting):
+            rsr_from_panel(panel, SelectionConfig(seed=3))
+        assert sum(rows) == pairs(n_models)
+
+
 class TestTieStreamLaziness:
     def test_tie_free_panel_never_requests_a_stream(self):
         rng = np.random.default_rng(51)
