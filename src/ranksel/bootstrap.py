@@ -171,18 +171,17 @@ def run_min_bootstrap(draws, psi, config: BootstrapConfig, segments):
         cols = np.flatnonzero(named)
         if cols.size == 0:
             continue
-        shift = minus[cols[0]] - cols[0]
+        first, stop = cols[0], cols[-1] + 1
+        shift = minus[first] - first
         if np.all(minus[cols] - cols == shift):
             # Column i scores test shift + i: update one slice in place,
             # with +inf for the columns in it that score no test.
-            rows = rows[cols[0]:cols[-1] + 1]
-            rows[~named[cols[0]:cols[-1] + 1]] = np.inf
-            low = draws[shift + cols[0]:shift + cols[-1] + 1]
+            rows[first:stop][~named[first:stop]] = np.inf
+            low = draws[shift + first:shift + stop]
+            np.minimum(low, rows[first:stop], out=low)
         else:
-            rows = rows[cols]
             low = draws[minus[cols]]
-        np.minimum(low, rows, out=low)
-        if not np.shares_memory(low, draws):
+            np.minimum(low, rows[cols], out=low)
             draws[minus[cols]] = low
     return draws
 

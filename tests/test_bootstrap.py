@@ -171,9 +171,11 @@ class TestRunMinBootstrap:
         # Each test's draws are those of its signed columns on their own,
         # however its columns are spread over runs and blocks.
         rng = np.random.default_rng(12)
-        psi = _centered(rng, 40, 8)
+        psi = _centered(rng, 40, 11)
         cfg = BootstrapConfig(B=500, seed=8)
-        blocks = [[([0, 0], [1, -1]), ([1, -1, 1], [2, 0, -1])],
+        # Runs whose minus tests sit at consecutive positions (with or
+        # without a gap) update a slice, the others gather their rows.
+        blocks = [[([0, 0], [1, -1]), ([1, -1, 1], [2, 0, -1]), ([1, 1, 1], [0, -1, 2])],
                   [([-1], [2]), ([2, 2], [-1, 1])]]
         signed = {0: [], 1: [], 2: []}
         draws, start = _fresh(3, cfg), 0
