@@ -474,9 +474,8 @@ class TestMirror:
         with pytest.raises(ContractError, match="competitors of 0"):
             pair_stats(panel, 0, competitors=np.array(competitors))
 
-    @pytest.mark.parametrize("kind, pairs", (("tie_free", lambda m: m * (m - 1) // 2),
-                                             ("binary", lambda m: m * (m - 1))))
-    def test_selection_counts_each_tie_free_pair_once(self, kind, pairs):
+    @pytest.mark.parametrize("kind", ("tie_free", "binary"))
+    def test_selection_counts_each_tie_free_pair_once(self, kind):
         # rsr_from_panel counts a tie-free pair from one side only, and
         # each direction of a tied pair (every pair of a 0/1 panel) apart.
         from ranksel import SelectionConfig, rsr_from_panel, select
@@ -498,7 +497,8 @@ class TestMirror:
 
         with mock.patch.object(select, "pair_stats", counting):
             rsr_from_panel(panel, SelectionConfig(seed=3))
-        assert sum(rows) == pairs(n_models)
+        ordered = n_models * (n_models - 1)
+        assert sum(rows) == (ordered // 2 if kind == "tie_free" else ordered)
 
 
 class TestTieStreamLaziness:
