@@ -180,13 +180,13 @@ def screen(mu, se, n_models: int, alpha_screen: float, s: float) -> np.ndarray:
 class _Pairs(NamedTuple):
     """One model's counted pairs, in both directions.
 
-    Row 0 of ``mu``, ``keep`` and ``lost`` is the model's own direction
-    against each of ``competitors``, row 1 each competitor's against it;
-    ``psi`` holds row 0's bootstrap scores, and row 1's are its negation.
-    ``mu`` is the centered contrast (positive favors the direction's
-    reference), ``keep`` marks a direction that is bootstrapped,
-    ``dropped`` one that screening removed and ``lost`` one that rejects
-    its reference outright. Row 1 is all False where ``tied`` (an RSR pair
+    Row 0 of the (2, p) arrays is the model's own direction against each
+    of ``competitors``, row 1 each competitor's against it; ``psi`` holds
+    row 0's bootstrap scores, and row 1's are its negation. ``mu`` is the
+    centered contrast (positive favors the direction's reference),
+    ``keep`` marks a direction that is bootstrapped, ``dropped`` one that
+    screening removed and ``lost`` one that rejects its reference
+    outright. Row 1 of the flags is all False where ``tied`` (an RSR pair
     whose tie coins make each direction its own count).
     """
 
@@ -205,11 +205,11 @@ def _pair_loop(panel: LossPanel, config: SelectionConfig, method: str, count,
 
     Models are visited in model-id order, and ``count(m, competitors)``
     counts model m against every later model and against the earlier ones
-    whose pair is tied. A direction's psi column goes into a column-major
-    block once, scoring its pair's two directions with opposite signs, and
-    each full block (and the last) is folded into running (M, B) minima in
-    one call. A model that loses a direction outright gets p = 0, one with
-    no bootstrapped direction p = 1.
+    whose pair is tied. A pair's psi column goes into a column-major block
+    once, scoring its two directions with opposite signs, and each full
+    block (and the last) is folded into running (M, B) minima in one call.
+    A model that loses a direction outright gets p = 0, one with no
+    bootstrapped direction p = 1.
     """
     n_models = panel.n_models
     order = sorted(range(n_models), key=panel.model_ids.__getitem__)
@@ -220,7 +220,7 @@ def _pair_loop(panel: LossPanel, config: SelectionConfig, method: str, count,
     width = max(_BLOCK_BYTES // (8 * max(panel.n, config.B)), n_models - 1)
     width = min(width, n_models * (n_models - 1))
     psi_block = np.empty((panel.n, width), order="F")
-    segments: list[tuple[int, np.ndarray]] = []
+    segments: list[tuple[np.ndarray, np.ndarray]] = []
     used = 0
 
     for rank, m in enumerate(order):
