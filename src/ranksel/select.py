@@ -267,7 +267,8 @@ def _pair_loop(panel: LossPanel, config: SelectionConfig, method: str, count,
     t_obs = math.sqrt(panel.n) * mu_min
     p_vals = np.empty(n_models)
     p_vals[order] = p_values(t_obs[order], draws)
-    rejected = np.isin(np.arange(n_models), owners[lost])
+    rejected = np.zeros(n_models, dtype=bool)
+    rejected[owners[lost]] = True
     diagnostics = {}
     for m in range(n_models):
         if rejected[m]:

@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from typing import NamedTuple
 from unittest import mock
 
@@ -686,6 +690,26 @@ class TestBlockedBootstrap:
                 np.testing.assert_allclose(finals[0][m], draws, rtol=0, atol=1e-12)
                 assert cs.diagnostics[m] == {"t_obs": t_obs, "n_cols": ev.mu.size}
                 assert cs.p_values[m] == np.count_nonzero(draws < t_obs) / cfg.B
+
+    def test_selection_loads_no_numpy_ma(self):
+        # np.unique imports numpy.ma (about 8 ms and 1-2 MB of resident
+        # memory per process); nothing on the selection path needs it.
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from ranksel import LossPanel, SelectionConfig, cvc_style_select, "
+            "pcv_select, rsr_from_panel\n"
+            "rng = np.random.default_rng(5)\n"
+            "losses = np.abs(rng.standard_cauchy((60, 5)))\n"
+            "losses[:, 3:] = losses[:, 3:] > 1.0\n"
+            "panel = LossPanel(losses=losses, model_ids=tuple('abcde'))\n"
+            "for method in (rsr_from_panel, pcv_select, cvc_style_select):\n"
+            "    method(panel, SelectionConfig(seed=5))\n"
+            "print('numpy.ma' in sys.modules)\n")
+        src = str(Path(select.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_peak_memory_is_bounded_by_the_block_cap(self):
         # A wide panel bootstraps 60 * 59 columns. Held at once, as one
