@@ -171,14 +171,15 @@ def run_min_bootstrap(draws, psi, config: BootstrapConfig, segments):
         # bits, and x / -r is -(x / r).
         rows = np.divide(product[:, start:start + plus.size].T, -root_n, order="C")
         start += plus.size
-        own, named = plus >= 0, minus >= 0
-        if own.any():
-            test = plus[own][0]
-            top = rows.max(axis=0, where=own[:, None], initial=-np.inf)
+        test = plus.max()
+        if test >= 0:
+            top = (rows.max(axis=0) if plus.min() >= 0 else
+                   rows.max(axis=0, where=(plus >= 0)[:, None], initial=-np.inf))
             np.minimum(draws[test], -top, out=draws[test])
-        cols = np.flatnonzero(named)
-        if cols.size == 0:
+        if minus.max() < 0:
             continue
+        named = minus >= 0
+        cols = np.flatnonzero(named)
         first, stop = cols[0], cols[-1] + 1
         shift = minus[first] - first
         if np.all(minus[cols] - cols == shift):

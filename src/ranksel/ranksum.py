@@ -333,8 +333,9 @@ def pair_stats(panel: LossPanel, m: int, ties: TieStreams | None = None,
     if competitors is not None:
         competitors = np.asarray(competitors)
         if (competitors.ndim != 1 or competitors.dtype.kind not in "iu"
-                or np.any((competitors < 0) | (competitors >= panel.n_models)
-                          | (competitors == m))):
+                or competitors.size and (competitors.min() < 0
+                                         or competitors.max() >= panel.n_models
+                                         or m in competitors)):
             raise ContractError(f"competitors of {m} must be other models' indices")
     if ties is None:
         ties = TieStreams(0)

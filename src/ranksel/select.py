@@ -291,13 +291,12 @@ def _pair_loop(panel: LossPanel, config: SelectionConfig, method: str, count,
 def _rsr_pairs(panel: LossPanel, config: SelectionConfig, ties: TieStreams,
                m: int, competitors: np.ndarray) -> _Pairs:
     stats = pair_stats(panel, m, ties=ties, competitors=competitors)
-    mirrored = ~stats.tied
-    mu = np.stack([stats.mu, stats.mirror()[1]])
-    offered = np.stack([np.ones_like(mirrored), mirrored])
+    mu = np.array([stats.mu, stats.mirror()[1]])
+    offered = np.array([np.ones_like(stats.tied), ~stats.tied])
     keep = offered.copy()
     if config.screening_enabled:
         kept = np.zeros(np.count_nonzero(offered), dtype=bool)
-        kept[screen(mu[offered], np.broadcast_to(stats.se, mu.shape)[offered],
+        kept[screen(mu[offered], np.array([stats.se, stats.se])[offered],
                     panel.n_models, config.alpha_screen, config.s)] = True
         keep[offered] = kept
     return _Pairs(stats.competitors, mu, stats.psi, keep, offered & ~keep,
