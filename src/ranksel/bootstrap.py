@@ -121,8 +121,9 @@ def multiplier_min_bootstrap(psi, config: BootstrapConfig) -> np.ndarray:
 
 def _valid_runs(runs, tests: int, width: int) -> bool:
     """Whether the (plus, minus) runs cover ``width`` columns, each run
-    naming at most one plus test and distinct minus tests among ``tests``."""
-    if any(plus.size != minus.size for plus, minus in runs):
+    nonempty and naming at most one plus test and distinct minus tests
+    among ``tests``."""
+    if any(plus.size != minus.size or plus.size == 0 for plus, minus in runs):
         return False
     run_of = np.repeat(np.arange(len(runs)), [plus.size for plus, _ in runs])
     plus, minus = (np.concatenate([run[k] for run in runs] or [np.empty(0, np.intp)])
@@ -143,7 +144,7 @@ def run_min_bootstrap(draws, psi, config: BootstrapConfig, segments):
     ``draws`` is a float (R, B) array whose row r holds test r's running
     minimum over the draws of its columns so far; start it at +inf. The
     columns of psi come in ``segments``, one ``(plus, minus)`` pair of
-    index arrays per run of ``len(plus)`` columns: column i of the run
+    index arrays per run of ``len(plus) >= 1`` columns: column i of the run
     scores test ``plus[i]`` as it is and test ``minus[i]`` with its sign
     flipped, where -1 names no test. A run's ``plus`` names at most one
     test and its ``minus`` each test at most once. The block is checked

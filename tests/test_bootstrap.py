@@ -196,10 +196,10 @@ class TestRunMinBootstrap:
     @pytest.mark.parametrize("sizes", [
         [([0, 0], [-1, -1])], [([0, 0, 0], [-1, -1])], [([0, 0, 0], [1, 1, -1])],
         [([3, 3, 3], [-1, -1, -1])], [([0, 0, 0], [-2, -1, -1])], [],
-        [([0, 1, 0], [-1, -1, -1])]])
+        [([0, 1, 0], [-1, -1, -1])], [([0, 0, 0], [-1, -1, -1]), ([], [])]])
     def test_bad_segment_sizes_rejected(self, sizes):
-        # Runs must cover the block's columns, each with one plus test and
-        # distinct minus tests, among the draws' three rows.
+        # Runs must cover the block's columns, each nonempty with one plus
+        # test and distinct minus tests, among the draws' three rows.
         rng = np.random.default_rng(13)
         psi = _centered(rng, 20, 3)
         cfg = BootstrapConfig(B=500, seed=1)
