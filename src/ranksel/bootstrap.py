@@ -174,25 +174,11 @@ def run_min_bootstrap(draws, psi, config: BootstrapConfig, segments):
         start += plus.size
         test = plus.max()
         if test >= 0:
-            top = (rows.max(axis=0) if plus.min() >= 0 else
-                   rows.max(axis=0, where=(plus >= 0)[:, None], initial=-np.inf))
+            top = rows.max(axis=0, where=(plus >= 0)[:, None], initial=-np.inf)
             np.minimum(draws[test], -top, out=draws[test])
-        if minus.max() < 0:
-            continue
-        named = minus >= 0
-        cols = np.flatnonzero(named)
-        first, stop = cols[0], cols[-1] + 1
-        shift = minus[first] - first
-        if np.all(minus[cols] - cols == shift):
-            # Column i scores test shift + i: update one slice in place,
-            # with +inf for the columns in it that score no test.
-            rows[first:stop][~named[first:stop]] = np.inf
-            low = draws[shift + first:shift + stop]
-            np.minimum(low, rows[first:stop], out=low)
-        else:
-            low = draws[minus[cols]]
-            np.minimum(low, rows[cols], out=low)
-            draws[minus[cols]] = low
+        cols = np.flatnonzero(minus >= 0)
+        if cols.size:
+            draws[minus[cols]] = np.minimum(draws[minus[cols]], rows[cols])
     return draws
 
 

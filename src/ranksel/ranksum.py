@@ -126,8 +126,8 @@ class PairStats:
     wins: np.ndarray            # (p,) = n^2 u
     tied: np.ndarray            # (p,) bool
 
-    def mirror(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each competitor's (u, mu) against the reference, from these counts.
+    def mirror(self) -> np.ndarray:
+        """Each competitor's mu against the reference, from these counts.
 
         Exact for a pair without a tied cell, whose reverse win total is
         n^2 - wins: the same bits as counting that direction, whose se is
@@ -135,8 +135,7 @@ class PairStats:
         draws its own coins, so it has to be counted.
         """
         n2 = self.psi.shape[0] ** 2
-        u = (n2 - self.wins) / n2
-        return u, u - 0.5
+        return (n2 - self.wins) / n2 - 0.5
 
 
 def _pair_panel(a, b, min_n: int) -> LossPanel:

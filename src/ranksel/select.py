@@ -185,22 +185,23 @@ class _Pairs(NamedTuple):
     row 0's bootstrap scores, and row 1's are its negation. ``mu`` is the
     centered contrast (positive favors the direction's reference),
     ``keep`` marks a direction that is bootstrapped, ``dropped`` one that
-    screening removed and ``lost`` one that rejects its reference
-    outright. Row 1 of the flags is all False where ``tied`` (an RSR pair
-    whose tie coins make each direction its own count).
+    screening removed (None for a method that does not screen) and
+    ``lost`` one that rejects its reference outright. Row 1 of the flags
+    is all False where ``tied`` (an RSR pair whose tie coins make each
+    direction its own count).
     """
 
     competitors: np.ndarray     # (p,) int
     mu: np.ndarray              # (2, p)
     psi: np.ndarray             # (n, p)
     keep: np.ndarray            # (2, p) bool
-    dropped: np.ndarray         # (2, p) bool
+    dropped: np.ndarray | None  # (2, p) bool
     lost: np.ndarray            # (2, p) bool
     tied: np.ndarray            # (p,) bool
 
 
-def _pair_loop(panel: LossPanel, config: SelectionConfig, method: str, count,
-               screens: bool) -> ConfidenceSet:
+def _pair_loop(panel: LossPanel, config: SelectionConfig, method: str,
+               count) -> ConfidenceSet:
     """Bootstrap every model's directions; keep m when p >= alpha.
 
     Models are visited in model-id order, and ``count(m, competitors)``
@@ -209,7 +210,8 @@ def _pair_loop(panel: LossPanel, config: SelectionConfig, method: str, count,
     once, scoring its two directions with opposite signs, and each full
     block (and the last) is folded into running (M, B) minima in one call.
     A model that loses a direction outright gets p = 0, one with no
-    bootstrapped direction p = 1.
+    bootstrapped direction p = 1. ``screened_out`` lists each model's
+    dropped competitors when the counts carry ``dropped``.
     """
     n_models = panel.n_models
     order = sorted(range(n_models), key=panel.model_ids.__getitem__)
@@ -258,9 +260,9 @@ def _pair_loop(panel: LossPanel, config: SelectionConfig, method: str, count,
     comps = np.concatenate([pairs.competitors for _, pairs in counted])
     refs = np.repeat([m for m, _ in counted], [pairs.mu.shape[1] for _, pairs in counted])
     owners = np.stack([refs, comps])
-    mu, keep, dropped, lost = (
+    mu, keep, lost = (
         np.concatenate([getattr(pairs, name) for _, pairs in counted], axis=1)
-        for name in ("mu", "keep", "dropped", "lost"))
+        for name in ("mu", "keep", "lost"))
     mu_min = np.full(n_models, np.inf)
     np.minimum.at(mu_min, owners[keep], mu[keep])
     n_cols = np.bincount(owners[keep], minlength=n_models)
@@ -277,7 +279,8 @@ def _pair_loop(panel: LossPanel, config: SelectionConfig, method: str, count,
             p_vals[m], t_obs[m] = 1.0, math.inf
         diagnostics[m] = {"t_obs": float(t_obs[m]), "n_cols": int(n_cols[m])}
     screened_out = {}
-    if screens:
+    if counted[0][1].dropped is not None:
+        dropped = np.concatenate([pairs.dropped for _, pairs in counted], axis=1)
         ref, other = owners[dropped], owners[::-1][dropped]
         by_ref = np.lexsort((other, ref))
         bounds = np.cumsum(np.bincount(ref, minlength=n_models))[:-1]
@@ -291,7 +294,7 @@ def _pair_loop(panel: LossPanel, config: SelectionConfig, method: str, count,
 def _rsr_pairs(panel: LossPanel, config: SelectionConfig, ties: TieStreams,
                m: int, competitors: np.ndarray) -> _Pairs:
     stats = pair_stats(panel, m, ties=ties, competitors=competitors)
-    mu = np.array([stats.mu, stats.mirror()[1]])
+    mu = np.array([stats.mu, stats.mirror()])
     offered = np.array([np.ones_like(stats.tied), ~stats.tied])
     keep = offered.copy()
     if config.screening_enabled:
@@ -313,8 +316,7 @@ def _pcv_pairs(panel: LossPanel, m: int, competitors: np.ndarray) -> _Pairs:
     means = wins / panel.n
     mu = np.stack([means - 0.5, (panel.n - wins) / panel.n - 0.5])
     live = np.broadcast_to(~tied.all(axis=0), mu.shape)
-    none = np.zeros_like(live)
-    return _Pairs(competitors, mu, ind - means, live, none, none,
+    return _Pairs(competitors, mu, ind - means, live, None, np.zeros_like(live),
                   np.zeros(competitors.size, dtype=bool))
 
 
@@ -335,7 +337,7 @@ def _cvc_pairs(panel: LossPanel, m: int, competitors: np.ndarray) -> _Pairs:
     none = np.zeros((2, competitors.size), dtype=bool)
     return _Pairs(competitors, np.stack([mu, 0.0 - mu]), psi,
                   np.broadcast_to(live, none.shape),
-                  none, np.stack([~live & (means < 0), ~live & (means > 0)]),
+                  None, np.stack([~live & (means < 0), ~live & (means > 0)]),
                   none[0])
 
 
@@ -344,7 +346,7 @@ def rsr_from_panel(panel: LossPanel, config: SelectionConfig,
     """Rank-sum confidence set computed directly from a loss panel."""
     ties = TieStreams(config.seed, TAG_RSR_TIES)
     return _pair_loop(panel, config, method,
-                      partial(_rsr_pairs, panel, config, ties), screens=True)
+                      partial(_rsr_pairs, panel, config, ties))
 
 
 def pcv_select(panel: LossPanel, config: SelectionConfig) -> ConfidenceSet:
@@ -353,7 +355,7 @@ def pcv_select(panel: LossPanel, config: SelectionConfig) -> ConfidenceSet:
     A tie scores 1/2, a fair coin's mean, so no coin is drawn. A copy of m
     (mu = 0, psi = 0) carries no evidence and is dropped; none left: p = 1.
     """
-    return _pair_loop(panel, config, "pcv", partial(_pcv_pairs, panel), screens=False)
+    return _pair_loop(panel, config, "pcv", partial(_pcv_pairs, panel))
 
 
 def cvc_style_select(panel: LossPanel, config: SelectionConfig) -> ConfidenceSet:
@@ -365,8 +367,7 @@ def cvc_style_select(panel: LossPanel, config: SelectionConfig) -> ConfidenceSet
     decided by sign: a constant win for the competitor rejects m outright,
     a constant win or exact tie for m carries no evidence against it.
     """
-    return _pair_loop(panel, config, "cvc_style", partial(_cvc_pairs, panel),
-                      screens=False)
+    return _pair_loop(panel, config, "cvc_style", partial(_cvc_pairs, panel))
 
 
 def cv_select(panel: LossPanel, config: SelectionConfig) -> ConfidenceSet:

@@ -173,8 +173,6 @@ class TestRunMinBootstrap:
         rng = np.random.default_rng(12)
         psi = _centered(rng, 40, 11)
         cfg = BootstrapConfig(B=500, seed=8)
-        # Runs whose minus tests sit at consecutive positions (with or
-        # without a gap) update a slice, the others gather their rows.
         blocks = [[([0, 0], [1, -1]), ([1, -1, 1], [2, 0, -1]), ([1, 1, 1], [0, -1, 2])],
                   [([-1], [2]), ([2, 2], [-1, 1])]]
         signed = {0: [], 1: [], 2: []}

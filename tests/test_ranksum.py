@@ -440,7 +440,9 @@ class TestMirror:
         stats = [pair_stats(panel, m) for m in range(panel.n_models)]
         for m, fwd in enumerate(stats):
             assert not fwd.tied.any()
-            u, mu = fwd.mirror()
+            # The reverse u from the forward win total, as mirror() takes it.
+            u = (panel.n ** 2 - fwd.wins) / panel.n ** 2
+            mu = fwd.mirror()
             for c, j in enumerate(fwd.competitors):
                 rev = stats[j]
                 pos = rev.competitors.tolist().index(m)

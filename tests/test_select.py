@@ -650,9 +650,14 @@ class TestBlockedBootstrap:
 
     @settings(max_examples=40, deadline=None)
     @given(panel=st.one_of(loss_panels(), mixed_panels()),
-           seed=st.integers(0, 2**32 - 1), extra=st.integers(0, 6))
-    def test_blocks_match_per_reference_bootstraps(self, panel, seed, extra):
+           seed=st.integers(0, 2**32 - 1), extra=st.integers(0, 6), data=st.data())
+    def test_blocks_match_per_reference_bootstraps(self, panel, seed, extra, data):
         cfg = SelectionConfig(seed=seed)
+        # Shuffled ids, so the id order the loop visits (and numbers its
+        # rows of minima by) is not the column order.
+        ids = data.draw(st.permutations(panel.model_ids))
+        panel = LossPanel(losses=panel.losses, model_ids=tuple(ids))
+        rank_of = np.argsort(np.argsort(ids))
         # Blocks of M - 1 + extra columns: one model's count always fits,
         # two seldom do, so a reference's columns (its own count's, and the
         # negated ones from each earlier model's) span several blocks.
@@ -687,7 +692,8 @@ class TestBlockedBootstrap:
                 t_obs = math.sqrt(panel.n) * ev.mu.min()
                 # BLAS may round a column differently inside a wider
                 # product, and a negated column is -psi up to rounding.
-                np.testing.assert_allclose(finals[0][m], draws, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(finals[0][rank_of[m]], draws, rtol=0,
+                                           atol=1e-12)
                 assert cs.diagnostics[m] == {"t_obs": t_obs, "n_cols": ev.mu.size}
                 assert cs.p_values[m] == np.count_nonzero(draws < t_obs) / cfg.B
 
