@@ -165,12 +165,15 @@ def run_min_bootstrap(draws, psi, config: BootstrapConfig, segments):
                             f"among {tests}")
     product = _checked_product(psi, config)
     root_n = math.sqrt(psi.shape[0])
+    # One buffer holds each run's rows in turn: one allocation per call.
+    buffer = np.empty((max((plus.size for plus, _ in runs), default=0), config.B))
     start = 0
     for plus, minus in runs:
         # One contiguous row of negated draws per column, so every update
         # below runs along rows. Scaling before the minimum gives the same
         # bits, and x / -r is -(x / r).
-        rows = np.divide(product[:, start:start + plus.size].T, -root_n, order="C")
+        rows = np.divide(product[:, start:start + plus.size].T, -root_n,
+                         out=buffer[:plus.size])
         start += plus.size
         test = plus.max()
         if test >= 0:

@@ -26,9 +26,10 @@ no loop over pairs without ties. Tie coins cost O(tied cells) and are only
 drawn, from a stream created on demand, for pairs that have a tied cell.
 One double gives 48 coins, so a tied row of width w draws ceil(w / 48)
 doubles; they are drawn in chunks of whole rows, so the working memory of
-a tie-heavy pair is bounded by the chunk size, not by its tied-cell count.
-Coins are summed from their 64-bit words: row wins by popcount, column
-wins from one unpacked block per tied value.
+a tie-heavy pair is bounded by the chunk size (about 1.4 MB unpacked), not
+by its tied-cell count. Coins are summed from their 64-bit words: row wins
+by popcount, column wins from one unpacked block per tied value, summed
+down its rows in uint8 slabs of at most 255 rows.
 A brute-force O(n^2) evaluation that unpacks the same tie stream the same
 way produces bit-identical results (the tests rely on this).
 """
@@ -54,8 +55,9 @@ _COIN_BITS = 48
 # rows are drawn together up to this many bits (a single wider row is
 # drawn on its own). Bounds the per-chunk buffers on tie-heavy panels such
 # as 0/1 losses, and on panels of many one-cell ties: a chunk's words
-# unpack to at most 64/48 bytes per bit, about 350 KB.
-_COIN_CHUNK = 1 << 18
+# unpack to at most 64/48 bytes per bit, about 1.4 MB. A tied direction of
+# a 0/1 panel at n = 1000 (about n^2 / 2 coins) is one chunk.
+_COIN_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -195,13 +197,17 @@ def _reference_counts(panel: LossPanel, m: int, stream=None, competitors=None):
         tied = (col != right).any(axis=1)
     row = np.subtract(n, hi, dtype=float)
     col = col.astype(float)
-    for idx in np.flatnonzero(tied) if stream is not None else ():
-        lo = _at_or_below(right[idx:idx + 1], own)[0]
-        order = panel._orders[competitors[idx]]
-        col_sorted = col[idx, order]
-        _add_tie_wins(row[idx], col_sorted, lo.astype(np.intp), hi[idx].astype(np.intp),
-                      stream(competitors[idx]))
-        col[idx, order] = col_sorted
+    if stream is not None and tied.any():
+        # All tied competitors' bounds in one pass, and their col in sorted-b
+        # order in one gather; each pair's coins then follow in competitor order.
+        at = np.flatnonzero(tied)
+        orders = panel._orders[competitors[at]]
+        col_sorted = col[at[:, None], orders]
+        lo = _at_or_below(right[at], own).astype(np.intp)
+        hi_at = hi[at].astype(np.intp)
+        for i, idx in enumerate(at):
+            _add_tie_wins(row[idx], col_sorted[i], lo[i], hi_at[i], stream(competitors[idx]))
+        col[at[:, None], orders] = col_sorted
     return competitors, row, col, se, tied
 
 
@@ -248,8 +254,12 @@ def _add_tie_wins(row, col_sorted, lo, hi, gen: np.random.Generator) -> None:
             block[:, -1] &= np.uint64((1 << int(w - _COIN_BITS * (k - 1))) - 1)
             row[chunk[group]] += np.bitwise_count(block).sum(axis=1)
             bits = np.unpackbits(block.view(np.uint8), axis=1, bitorder="little")
-            # Column sums are at most the row count: its narrowest type is fastest.
-            heads = np.add.reduce(bits, axis=0, dtype=np.min_scalar_type(group.size))
+            # Sums over at most 255 rows fit uint8, which sums without a
+            # cast; a taller group adds its slabs' sums in a wider type.
+            heads = np.add.reduce(bits[:255], axis=0, dtype=np.uint8).astype(
+                np.min_scalar_type(group.size), copy=False)
+            for top in range(255, group.size, 255):
+                heads += np.add.reduce(bits[top:top + 255], axis=0, dtype=np.uint8)
             col_sorted[pos:pos + w] += heads.reshape(k, 64)[:, :_COIN_BITS].ravel()[:w]
             # Free each buffer before the next is built: the peak holds one
             # chunk's buffers, not two.

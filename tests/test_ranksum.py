@@ -341,8 +341,10 @@ def mixed_panels(draw):
 
 # None keeps the module's chunk of coin bits; 1 and 7 draw every tied row
 # on its own, and 200 (four doubles) draws a few rows per chunk, so chunk
-# boundaries fall between rows of one value.
-COIN_CHUNKS = [None, 1, 7, 200]
+# boundaries fall between rows of one value. 1 << 18, a quarter of the
+# module's chunk, splits a tied direction of a 0/1 panel at n = 1000 over
+# two or three draws; the bits must not change with it either.
+COIN_CHUNKS = [None, 1, 7, 200, 1 << 18]
 
 
 def _coin_chunk(chunk):
@@ -397,23 +399,28 @@ class _CountingGenerator:
     def __init__(self, gen, owner):
         self._gen = gen
         self._owner = owner
+        self.calls = 0
 
     def random(self, size):
         self._owner.doubles += size
+        self.calls += 1
         return self._gen.random(size)
 
 
 class _CountingTieStreams(TieStreams):
-    """Records every pair whose stream is requested and every double drawn."""
+    """Records every pair whose stream is requested, every stream opened
+    (``streams``, in ``pairs`` order) and every double drawn."""
 
     def __init__(self, seed, tag=0):
         super().__init__(seed, tag)
         self.pairs = []
+        self.streams = []
         self.doubles = 0
 
     def pair(self, id_m, id_j):
         self.pairs.append((id_m, id_j))
-        return _CountingGenerator(super().pair(id_m, id_j), self)
+        self.streams.append(_CountingGenerator(super().pair(id_m, id_j), self))
+        return self.streams[-1]
 
 
 @st.composite
@@ -581,6 +588,19 @@ class TestTieStreamLaziness:
         assert len(expected_pairs) == 6
         assert ties.doubles == expected_doubles
 
+    def test_each_tied_direction_draws_its_coins_at_once(self):
+        # Every ordered pair of an n = 1000 panel of 0/1 losses is tied, with
+        # about n^2 / 2 tied cells; at the module's chunk each direction's
+        # coins come from one ``random`` call.
+        rng = np.random.default_rng(89)
+        panel = LossPanel(losses=rng.integers(0, 2, size=(1000, 4)).astype(float),
+                          model_ids=("a", "b", "c", "d"))
+        ties = _CountingTieStreams(11, 9)
+        for m in range(panel.n_models):
+            pair_stats(panel, m, ties=ties)
+        assert sorted(ties.pairs) == [(a, b) for a in "abcd" for b in "abcd" if a != b]
+        assert [gen.calls for gen in ties.streams] == [1] * 12
+
 
 WIDTHS = (1, 47, 48, 49, 96, 97)
 
@@ -635,6 +655,29 @@ class TestWideTiedRows:
 
 class TestTallValueGroups:
     """A value tied in over 510 rows of a: its column wins overflow uint8."""
+
+    @pytest.mark.parametrize("chunk", [None, 1 << 14])
+    @pytest.mark.parametrize("tall", [255, 256, 510, 511])
+    def test_slab_edges_match_oracle(self, chunk, tall):
+        # Column sums run over slabs of at most 255 rows: a holds 0 in exactly
+        # ``tall`` rows, each tied with b's 100 zeros (three doubles a row),
+        # so the value's block is one, two or three slabs high. At the
+        # module's chunk the block is drawn at once (one call per stream).
+        rng = np.random.default_rng(97)
+        n = 600
+        a = np.concatenate([np.zeros(tall), 1.0 + rng.permutation(n - tall)])
+        b = np.concatenate([np.zeros(100), 0.5 + rng.permutation(n - 100)])
+        panel = LossPanel(losses=np.column_stack([rng.permutation(a), rng.permutation(b)]),
+                          model_ids=("a", "b"))
+        with _coin_chunk(chunk):
+            for m in range(panel.n_models):
+                ties = _CountingTieStreams(29, 9)
+                stats = pair_stats(panel, m, ties=ties)
+                u, se, psi = _oracle_pair_stats(panel, m, TieStreams(29, 9))
+                assert np.array_equal(stats.u, u)
+                assert np.array_equal(stats.se, se)
+                assert np.array_equal(stats.psi, psi)
+                assert chunk or ties.streams[0].calls == 1
 
     @pytest.mark.parametrize("chunk", [None, 1 << 14])
     def test_pair_stats_match_oracle(self, chunk):
@@ -715,12 +758,12 @@ class TestReferencePassMemory:
         assert peak < per_cell * n * n_models
 
     def test_tie_coin_peak_is_bounded_by_the_chunk(self):
-        # A fully tied pair at n = 2000 has 4M tied cells. Its coins come in
+        # A fully tied pair at n = 3000 has 9M tied cells. Its coins come in
         # chunks of whole rows, so the peak holds one chunk's buffers (its
         # words, and their block unpacked to 64/48 bytes per coin bit; each
         # chunk's are released before the next is built) plus the pair's
         # O(nM) rank arrays, far below a byte per tied cell.
-        n, n_models, per_cell = 2000, 2, 80
+        n, n_models, per_cell = 3000, 2, 80
         ids = ("a", "b")
         pair_stats(LossPanel(losses=np.ones((60, n_models)), model_ids=ids), 0)  # lazy set-up
         panel = LossPanel(losses=np.ones((n, n_models)), model_ids=ids)
